@@ -43,6 +43,7 @@ from repro.mapper.backends import (
     DEFAULT_PORTFOLIO,
     EXPERIMENT_STRATEGIES,
     backend_names,
+    backend_options,
     describe_backends,
     strategy_choices,
 )
@@ -102,13 +103,6 @@ def cmd_fabric(args) -> int:
     return 0
 
 
-def _single_backend_options(args) -> dict:
-    options: dict = {}
-    if args.budget_s is not None and args.backend == "exact":
-        options["budget_s"] = args.budget_s
-    return options
-
-
 def cmd_map(args) -> int:
     cgra = _build_fabric(args)
     shows = set(args.show.split(",")) if args.show else set()
@@ -141,7 +135,8 @@ def cmd_map(args) -> int:
             result = compile_kernel(
                 args.kernel, cgra, args.strategy, unroll=args.unroll,
                 backend=args.backend,
-                backend_options=_single_backend_options(args),
+                backend_options=backend_options(args.backend,
+                                                budget_s=args.budget_s),
                 use_cache=not args.no_cache, instrument=instrument,
                 want_bitstream="bitstream" in shows,
             )
@@ -595,7 +590,8 @@ def cmd_profile(args) -> int:
     profiler.enable()
     result = compile_kernel(args.kernel, cgra, strategy=args.strategy,
                             backend=args.backend,
-                            backend_options=_single_backend_options(args),
+                            backend_options=backend_options(
+                                args.backend, budget_s=args.budget_s),
                             unroll=args.unroll, use_cache=use_cache)
     profiler.disable()
     stream = io.StringIO()
@@ -914,7 +910,8 @@ def main(argv: list[str] | None = None) -> int:
                          choices=backend_names(),
                          help="mapper backend to profile")
     profile.add_argument("--budget-s", type=float, default=None,
-                         help="wall-clock budget for the exact backend")
+                         help="wall-clock budget for proof-capable "
+                              "backends")
     profile.add_argument("--unroll", type=int, default=1)
     profile.add_argument("--cgra", default="6x6")
     profile.add_argument("--island", default="2x2")

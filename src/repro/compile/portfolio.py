@@ -36,6 +36,7 @@ from repro.errors import MappingError
 from repro.mapper.backends import (
     DEFAULT_PORTFOLIO,
     MappingResult,
+    backend_options,
     get_backend,
     select_best,
 )
@@ -87,13 +88,10 @@ class PortfolioReport:
 
 def _member_options(member: str, member_options: dict[str, dict] | None,
                     budget_s: float | None, seed: int) -> tuple:
-    options = dict((member_options or {}).get(member, {}))
-    cls = get_backend(member)
-    if (budget_s is not None and getattr(cls, "proves_optimality", False)
-            and member != "exhaustive" and "budget_s" not in options):
-        options["budget_s"] = budget_s
-    if member == "anneal" and "seed" not in options:
-        options["seed"] = seed
+    options = backend_options(member, (member_options or {}).get(member),
+                              budget_s=budget_s)
+    if member == "anneal":
+        options.setdefault("seed", seed)
     return tuple(sorted(options.items()))
 
 

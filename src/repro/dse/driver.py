@@ -20,9 +20,11 @@ per-point mapping blob is byte-identical to a naive cold compile):
   ``min_ii = exact_lower_bound(dfg, fabric)`` (and, for oblivious
   points, the solved II of an identical-search sibling), skipping
   ascending-II attempts a sound bound already rules out;
-* **vectorized candidate scoring** and the process-global routing
-  distance-oracle cache (keyed by topology fingerprint) accelerate the
-  cold compiles that remain.
+* the process-global routing distance-oracle cache (keyed by
+  topology fingerprint) accelerates the cold compiles that remain.
+
+The engine's numpy candidate scorer is not a reuse channel: it is the
+engine's only scorer, so the naive path runs it too.
 
 Determinism: per-point seeds derive from (sweep seed, point index) —
 never from scheduling — and result rows carry no volatile fields, so
@@ -293,8 +295,7 @@ def _run_naive(points: list[DesignPoint], space: DesignSpace, seed: int,
     for point in points:
         routing.clear_oracle_cache()
         cgra = build_fabric(point)
-        config = replace(resolve_config(point.strategy, None),
-                         vectorize=False, min_ii=0)
+        config = resolve_config(point.strategy, None)
         stats["compiles"] += 1
         try:
             result = compile_kernel(

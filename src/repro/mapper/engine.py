@@ -63,12 +63,6 @@ class EngineConfig:
             Cost weights (issue lateness, routing latency, label/island
             level mismatch, activating an untouched island, and FU
             occupancy pressure on the candidate tile).
-        vectorize: Score a node's candidate tiles with one numpy pass
-            (windows, prune mask, claim-pool pressure) instead of
-            per-candidate python loops. Bit-identical to the scalar
-            path by construction (integer arithmetic either way) and
-            pinned by the differential suite, so it is excluded from
-            cache fingerprints (see ``ACCEL_FIELDS``).
         min_ii: A *sound lower bound* on the feasible II supplied by
             the caller (e.g. ``exact_lower_bound`` or a DSE warm-start
             ladder). IIs below it are skipped outright — bit-identical
@@ -91,7 +85,6 @@ class EngineConfig:
     w_mismatch: float = 8.0
     w_new_island: float = 6.0
     w_pressure: float = 3.0
-    vectorize: bool = True
     min_ii: int = 0
 
     @classmethod
@@ -105,7 +98,7 @@ class EngineConfig:
         """
         dvfs_aware = strategy not in (
             "baseline", "baseline+gating", "per_tile_dvfs", "per_tile",
-            "anneal", "exhaustive",
+            "anneal",
         )
         return cls(dvfs_aware=dvfs_aware)
 
@@ -113,7 +106,7 @@ class EngineConfig:
 #: EngineConfig fields that accelerate the search without changing its
 #: result (enforced by the differential suites). They are stripped from
 #: cache fingerprints so toggling them can never split the cache.
-ACCEL_FIELDS = ("vectorize", "min_ii")
+ACCEL_FIELDS = ("min_ii",)
 
 
 @dataclass
@@ -638,96 +631,21 @@ class _Attempt:
     # -- candidate search ----------------------------------------------------
 
     def _best_candidate(self, node: int) -> _Candidate | None:
-        if self.config.vectorize:
-            return self._best_candidate_vec(node)
-        return self._best_candidate_ref(node)
+        """The cheapest feasible (tile, time, level) for ``node``.
 
-    def _best_candidate_ref(self, node: int) -> _Candidate | None:
-        """Scalar reference scorer. ``_best_candidate_vec`` must agree
-        with this loop bit-for-bit — mapping, cost tuples and stats
-        counters alike (pinned by the differential suite); any change
-        here must be mirrored there."""
-        label = self.labels[node]
-        opcode = self.dfg.node(node).opcode
-        tiles = self._candidate_tiles(node, opcode)
-        best: _Candidate | None = None
-        feasible = 0
-        for tile in tiles:
-            if feasible >= self.config.max_good_candidates:
-                break
-            island = self.cgra.island_of(tile).id
-            assigned = self.island_levels.get(island)
-            if assigned is None:
-                # A fresh island could be opened at the label's level or
-                # at normal; evaluate both (a too-slow label must not
-                # sink the node — Alg. 1 falls back to normal for the
-                # same reason).
-                allowed_names = self.config.allowed_level_names
-                option_levels = {label, self.cgra.dvfs.normal}
-                options = [
-                    (level, True) for level in self.cgra.dvfs.levels
-                    if level in option_levels
-                    and (allowed_names is None or level.name in allowed_names)
-                ]
-            else:
-                if not assigned.at_least_as_fast_as(label):
-                    continue  # Alg. 2 line 17: never onto a slower island
-                options = [(assigned, False)]
-            if not options:
-                continue
-            # Oracle pruning: the issue-time window only shrinks as the
-            # op slows down, so an empty window at the fastest available
-            # level means every option would fail its first feasibility
-            # check — skip the tile without probing.
-            s_best = self._op_cycles(node, tile) * min(
-                level.slowdown for level, _fresh in options
-            )
-            earliest, latest = self._time_window(node, tile, s_best)
-            if earliest > latest:
-                self.stats.candidates_pruned += len(options)
-                continue
-            for level, fresh in options:
-                self.stats.candidates_probed += 1
-                result = self._try_tile(node, tile, level, island,
-                                        s_hint=s_best,
-                                        window=(earliest, latest))
-                if result is None:
-                    continue
-                feasible += 1
-                time, route_latency = result
-                pressure = self.mrrg.tile_busy_slots(tile) / self.ii
-                cost = (
-                    self.config.w_time * time
-                    + self.config.w_route * route_latency
-                    + self.config.w_pressure * pressure
-                )
-                if self.config.dvfs_aware:
-                    mismatch = abs(
-                        self.cgra.dvfs.index_of(level)
-                        - self.cgra.dvfs.index_of(label)
-                    )
-                    cost += self.config.w_mismatch * mismatch
-                    cost += self.config.w_new_island * (1 if fresh else 0)
-                if best is None or (cost, tile, time) < (
-                    best.cost, best.tile, best.time
-                ):
-                    best = _Candidate(cost, tile, time, level)
-        return best
+        One numpy pass computes every candidate tile's issue window,
+        prune verdict and (lazily) the claim-pool pressure. The router
+        probes themselves stay sequential — they mutate the pool — but
+        they consume the precomputed windows, so the per-candidate
+        python work collapses to the probe call.
 
-    def _best_candidate_vec(self, node: int) -> _Candidate | None:
-        """Vectorized scorer: one numpy pass computes every candidate
-        tile's issue window, prune verdict and (lazily) the claim-pool
-        pressure, replacing the per-tile python loops of
-        ``_best_candidate_ref``. The router probes themselves stay
-        sequential — they mutate the pool — but they consume the
-        precomputed windows, so the per-candidate python work collapses
-        to the probe call.
-
-        Bit-identity with the reference loop is by construction: all
-        precomputed quantities are integers (numpy int64 == python int
-        arithmetic), they are converted back to python scalars before
-        entering any cost expression, and the visit order, beam break
-        and counter updates replicate the scalar control flow exactly.
+        The scalar loop this replaced is kept as an oracle in
+        ``tests/reference_scoring.py``. Bit-identity with it is by
+        construction: all precomputed quantities are integers (numpy
+        int64 == python int arithmetic), they are converted back to
+        python scalars before entering any cost expression, and the
+        visit order, beam break and counter updates replicate the
+        scalar control flow exactly.
         """
         label = self.labels[node]
         opcode = self.dfg.node(node).opcode
@@ -739,7 +657,7 @@ class _Attempt:
             e for _i, e in self._out[node]
             if e.dst != node and e.dst in placements
         ]
-        tiles, np_tiles = self._candidate_tiles_vec(
+        tiles, np_tiles = self._candidate_tiles(
             node, opcode, in_placed, out_placed
         )
         if not tiles:
@@ -763,7 +681,7 @@ class _Attempt:
             # op duration never enters the window math; compute it
             # lazily per visited tile instead.
             s_vec = None
-        earliest, latest = self._windows_vec(
+        earliest, latest = self._windows(
             node, np_tiles, s_vec, in_placed, out_placed
         )
         # Back to python scalars in one pass each — per-element numpy
@@ -854,13 +772,14 @@ class _Attempt:
         self._island_options_cache[cache_key] = out
         return out
 
-    def _candidate_tiles_vec(self, node: int, opcode: Opcode,
-                             in_placed: list[DFGEdge],
-                             out_placed: list[DFGEdge]):
-        """``_candidate_tiles`` with the anchor-distance sort done as a
-        stable numpy argsort (ties keep ascending tile id, matching the
-        reference ``(sum, t)`` key) and the opcode-support filter cached
-        per attempt. Returns ``(tiles, int64 array of tiles)``.
+    def _candidate_tiles(self, node: int, opcode: Opcode,
+                         in_placed: list[DFGEdge],
+                         out_placed: list[DFGEdge]):
+        """Tiles supporting ``opcode``, nearest placed neighbours first,
+        cut to the beam. The anchor-distance sort is a stable numpy
+        argsort (ties keep ascending tile id, matching the reference
+        ``(sum, t)`` key) and the opcode-support filter is cached per
+        attempt. Returns ``(tiles, int64 array of tiles)``.
 
         ``in_placed``/``out_placed`` are the node's edges to already
         placed neighbours; they coincide with the reference anchor scan
@@ -891,9 +810,9 @@ class _Attempt:
             tiles = tiles[: self.config.beam_width]
         return list(tiles), np.asarray(tiles, dtype=np.int64)
 
-    def _windows_vec(self, node: int, np_tiles, s_vec,
-                     in_placed: list[DFGEdge],
-                     out_placed: list[DFGEdge]):
+    def _windows(self, node: int, np_tiles, s_vec,
+                 in_placed: list[DFGEdge],
+                 out_placed: list[DFGEdge]):
         """``_time_window`` for every candidate tile at once; the edge
         loops run once over numpy vectors instead of once per tile."""
         dist = _distance_np(self.cgra)
@@ -958,26 +877,6 @@ class _Attempt:
             return None
         shortfall, consumer = best
         return {consumer: self.placements[consumer].time + shortfall}
-
-    def _candidate_tiles(self, node: int, opcode: Opcode) -> list[int]:
-        tiles = [
-            t for t in self.tiles if self.cgra.tile(t).supports(opcode)
-        ]
-        anchors = [
-            self.placements[e.src].tile
-            for _i, e in self._in[node] if e.src in self.placements
-        ] + [
-            self.placements[e.dst].tile
-            for _i, e in self._out[node] if e.dst in self.placements
-        ]
-        if anchors:
-            dist = self.cgra._distance
-            tiles.sort(key=lambda t: (
-                sum(dist[t][a] for a in anchors), t
-            ))
-        if self.config.beam_width and len(tiles) > self.config.beam_width:
-            tiles = tiles[: self.config.beam_width]
-        return tiles
 
     def _time_window(self, node: int, tile: int,
                      slowdown: int) -> tuple[int, int]:

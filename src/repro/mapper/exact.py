@@ -2,9 +2,8 @@
 
 The paper benchmarks its heuristic against ILP mappers; this module is
 the reproduction's stand-in for that role on realistically sized
-kernels. Where :mod:`repro.mapper.exhaustive` brute-forces tiny
-instances, this is a proper branch-and-bound over the same flat MRRG
-claim pool:
+kernels: a branch-and-bound over the flat MRRG claim pool the
+placement engine uses:
 
 * **sound lower bound** — ``exact_lower_bound`` combines RecMII with
   resource bounds (FU slot capacity, memory-port capacity, the longest
@@ -19,11 +18,12 @@ claim pool:
 
 Optimality here means minimum II under the repository's shared
 feasibility model (modulo claim pool, issue-time windows, Dijkstra
-router) — the same sense in which the exhaustive mapper is ground
-truth. The search is deterministic: the primary budget is a probe
-count, not wall-clock; an optional ``budget_s`` adds a hard wall-clock
-cut at the price of run-to-run reproducibility of *timeouts* (never of
-results that complete).
+router); on small instances that makes it the ground truth the
+heuristic's optimality gap is measured against. The search is
+deterministic: the primary budget is a probe count, not wall-clock; an
+optional ``budget_s`` adds a hard wall-clock cut at the price of
+run-to-run reproducibility of *timeouts* (never of results that
+complete).
 """
 
 from __future__ import annotations

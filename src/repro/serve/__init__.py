@@ -20,6 +20,7 @@ from repro.serve.client import (
 )
 from repro.serve.server import (
     MAX_BODY_BYTES,
+    MAX_HEADER_LINES,
     BackgroundServer,
     CompileServer,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "DEFAULT_TIMEOUT_S",
     "DEFAULT_WORKERS",
     "MAX_BODY_BYTES",
+    "MAX_HEADER_LINES",
     "PRIORITIES",
     "REPORT_SCHEMA",
     "RESPONSE_SCHEMA",

@@ -16,7 +16,7 @@ Routes::
 
 Status mapping: 400 malformed request, 404 unknown path, 405 wrong
 method, 413 oversized body, 422 unmappable kernel, 429 queue full
-(with ``Retry-After``), 503 draining.
+(with ``Retry-After``), 431 too many header lines, 503 draining.
 
 :class:`BackgroundServer` runs the whole stack — event loop, service,
 listener — on a daemon thread, which is how the tests, the load-test
@@ -44,6 +44,9 @@ from repro.serve.service import (
 
 #: Largest accepted request body, bytes (a compile request is ~200 B).
 MAX_BODY_BYTES = 1 << 20
+
+#: Most header lines accepted in one request (a client sends ~5).
+MAX_HEADER_LINES = 100
 
 #: Server identity header.
 SERVER_NAME = "repro-serve/1"
@@ -146,10 +149,17 @@ class CompileServer:
                                close=True)
             return False
         headers = {}
+        lines = 0
         while True:
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
+            lines += 1
+            if lines > MAX_HEADER_LINES:
+                await self._respond(writer, 431,
+                                   {"error": "too many header lines"},
+                                   close=True)
+                return False
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         body = b""
@@ -158,6 +168,8 @@ class CompileServer:
             try:
                 length = int(length)
             except ValueError:
+                length = -1
+            if length < 0:
                 await self._respond(writer, 400,
                                    {"error": "bad Content-Length"},
                                    close=True)

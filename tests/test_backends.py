@@ -34,6 +34,7 @@ from repro.mapper.backends import (
     MappingResult,
     _REGISTRY,
     backend_names,
+    backend_options,
     describe_backends,
     get_backend,
     make_backend,
@@ -53,9 +54,9 @@ from repro.mapper.validation import validate_mapping
 class TestRegistry:
     def test_core_backends_registered(self):
         names = backend_names()
-        for expected in ("engine", "anneal", "exhaustive", "exact",
-                         "portfolio"):
+        for expected in ("engine", "anneal", "exact", "portfolio"):
             assert expected in names
+        assert "exhaustive" not in names  # superseded by exact
         assert names == tuple(sorted(names))
 
     def test_unknown_backend_is_a_value_error_naming_the_known(self):
@@ -282,6 +283,51 @@ class TestCounterNamespacing:
             counters.pop("wall_ms")  # the one legitimately varying key
             snapshots[jobs] = counters
         assert snapshots[1] == snapshots[2]
+
+
+# -- backend options ----------------------------------------------------------
+
+
+class TestBackendOptions:
+    def test_budget_reaches_every_proof_capable_backend(self):
+        for name in backend_names():
+            options = backend_options(name, budget_s=2.0)
+            proves = get_backend(name).proves_optimality
+            assert options == ({"budget_s": 2.0} if proves else {}), name
+            make_backend(name, **options)  # every such backend takes it
+
+    def test_explicit_options_win(self):
+        assert backend_options("exact", {"budget_s": 5.0},
+                               budget_s=2.0) == {"budget_s": 5.0}
+        assert backend_options("engine", budget_s=None) == {}
+
+    def test_portfolio_members_share_the_rule(self):
+        from repro.compile.portfolio import _member_options
+
+        backend = make_backend("portfolio", budget_s=2.0)
+        assert backend.member_backend("exact").budget_s == 2.0
+        assert _member_options("exact", None, 2.0, 7) == (("budget_s", 2.0),)
+        # The race keeps forwarding its seed to the annealer.
+        assert _member_options("anneal", None, 2.0, 7) == (("seed", 7),)
+
+    def test_cli_forwards_budget_to_portfolio_backend(self, monkeypatch):
+        import repro.__main__ as cli
+
+        captured = {}
+
+        class Captured(Exception):
+            pass
+
+        def fake_compile_kernel(*args, **kwargs):
+            captured.update(kwargs)
+            raise Captured
+
+        monkeypatch.setattr(cli, "compile_kernel", fake_compile_kernel)
+        with pytest.raises(Captured):
+            cli.main(["map", "fir", "--backend", "portfolio",
+                      "--budget-s", "2"])
+        assert captured["backend"] == "portfolio"
+        assert captured["backend_options"] == {"budget_s": 2.0}
 
 
 # -- portfolio racing ---------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.compile import (
     MappingCache,
     compile_annealed,
     compile_dfg,
-    compile_exhaustive,
     compile_kernel,
     get_cache,
     mapping_cache_key,
@@ -242,7 +241,7 @@ class TestSeededSearches:
                                     cache=cache)
         assert again.cache_hit
 
-    def test_exhaustive_bounded_by_cached_heuristic(self):
+    def test_exact_backend_proves_through_the_cache(self):
         b = DFGBuilder("diamond")
         ld = b.op(Opcode.LOAD)
         left = b.op(Opcode.ADD, ld)
@@ -253,11 +252,15 @@ class TestSeededSearches:
         fabric = CGRA.build(3, 3, island_shape=(3, 3))
         cache = MappingCache()
         heuristic = compile_dfg(dfg, fabric, "baseline", cache=cache)
-        mapping, stats = compile_exhaustive(dfg, fabric, cache=cache)
-        validate_mapping(mapping)
-        assert mapping.ii <= heuristic.mapping.ii
-        assert stats.probes > 0
-        assert cache.stats.hits >= 1  # the heuristic bound came cached
+        exact = compile_dfg(dfg, fabric, "baseline", backend="exact",
+                            cache=cache)
+        validate_mapping(exact.mapping)
+        assert exact.optimal and not exact.cache_hit
+        assert exact.mapping.ii <= heuristic.mapping.ii
+        again = compile_dfg(dfg, fabric, "baseline", backend="exact",
+                            cache=cache)
+        assert again.cache_hit and again.optimal
+        assert again.mapping.ii == exact.mapping.ii
 
 
 class TestInstrumentationReport:

@@ -1,11 +1,13 @@
-"""Differential tests: engine acceleration knobs are result-neutral.
+"""Differential tests: engine accelerations are result-neutral.
 
-``EngineConfig.vectorize`` (numpy candidate scoring) and
-``EngineConfig.min_ii`` (sound II warm starts) exist purely to make
-sweeps fast. Their contract — enforced here and assumed by the cache
-layer, which strips ``ACCEL_FIELDS`` from fingerprints — is *byte
-identity*: the same mapping, the same search counters, the same per-II
-effort rows as the scalar reference, on every fabric/kernel pairing.
+The engine's numpy candidate scorer and ``EngineConfig.min_ii`` (sound
+II warm starts) exist purely to make sweeps fast. Their contract —
+enforced here, and for ``min_ii`` assumed by the cache layer, which
+strips ``ACCEL_FIELDS`` from fingerprints — is *byte identity*: the
+same mapping, the same search counters, the same per-II effort rows as
+the unaccelerated reference, on every fabric/kernel pairing. The
+scorer's reference is the scalar loop in :mod:`tests.reference_scoring`,
+patched onto ``_Attempt`` for the reference run.
 
 The routing distance-oracle cache is process-global by design (that is
 the cross-point reuse feature), so each run clears it first. The
@@ -17,6 +19,7 @@ counter the engine exports.
 """
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,13 +28,19 @@ from repro.arch import CGRA
 from repro.compile.fingerprint import mapping_cache_key
 from repro.kernels import load_kernel
 from repro.mapper import routing
+from repro.mapper.backends import KNOWN_STRATEGIES
 from repro.mapper.engine import (
     ACCEL_FIELDS,
     EngineConfig,
     EngineStats,
+    _Attempt,
     map_dfg,
 )
 from repro.mapper.exact import exact_lower_bound
+from tests.reference_scoring import (
+    reference_best_candidate,
+    reference_candidate_tiles,
+)
 
 FABRICS = {
     "mesh44": CGRA.build(4, 4, island_shape=(2, 2)),
@@ -61,8 +70,12 @@ def _run(kernel: str, fabric: str, dvfs_aware: bool, **accel):
        dvfs_aware=st.booleans())
 @settings(max_examples=25, deadline=None)
 def test_vectorized_scoring_is_bit_identical(kernel, fabric, dvfs_aware):
-    ref = _run(kernel, fabric, dvfs_aware, vectorize=False)
-    vec = _run(kernel, fabric, dvfs_aware, vectorize=True)
+    with mock.patch.object(_Attempt, "_best_candidate",
+                           reference_best_candidate), \
+            mock.patch.object(_Attempt, "_candidate_tiles",
+                              reference_candidate_tiles):
+        ref = _run(kernel, fabric, dvfs_aware)
+    vec = _run(kernel, fabric, dvfs_aware)
     assert vec[0] == ref[0], "mapping blob diverged"
     assert vec[1] == ref[1], "search counters diverged"
     assert vec[2] == ref[2], "per-II effort rows diverged"
@@ -102,11 +115,37 @@ def test_min_ii_above_bound_skips_attempts():
 def test_accel_fields_do_not_split_the_cache(field):
     dfg = load_kernel("fir", 1)
     cgra = FABRICS["mesh44"]
-    base = EngineConfig()
-    toggled = {"vectorize": EngineConfig(vectorize=not base.vectorize),
-               "min_ii": EngineConfig(min_ii=7)}[field]
-    assert (mapping_cache_key(dfg, cgra, base, "engine")
+    toggled = {"min_ii": EngineConfig(min_ii=7)}[field]
+    assert (mapping_cache_key(dfg, cgra, EngineConfig(), "engine")
             == mapping_cache_key(dfg, cgra, toggled, "engine"))
+
+
+#: ``mapping_cache_key`` of fir on ``FABRICS["mesh44"]`` per strategy,
+#: recorded before ``EngineConfig`` lost its ``vectorize`` field. Equal
+#: digests mean no disk-cache entry or served artifact changed identity.
+PINNED_KEYS = {
+    "baseline":
+        "3545eac7904c39adb91e41efe128b8df5e67e098687a8b3805e53ed63ae26418",
+    "baseline+gating":
+        "3545eac7904c39adb91e41efe128b8df5e67e098687a8b3805e53ed63ae26418",
+    "per_tile_dvfs":
+        "3545eac7904c39adb91e41efe128b8df5e67e098687a8b3805e53ed63ae26418",
+    "iced":
+        "b54369d91cf9deb5ba33afd1e753b0a9b3540aa7b1baae41db193dc68c65fb78",
+    "anneal":
+        "3545eac7904c39adb91e41efe128b8df5e67e098687a8b3805e53ed63ae26418",
+}
+
+
+def test_cache_keys_are_pinned():
+    dfg = load_kernel("fir", 1)
+    cgra = FABRICS["mesh44"]
+    assert ACCEL_FIELDS == ("min_ii",)
+    assert set(PINNED_KEYS) == set(KNOWN_STRATEGIES)
+    for strategy in KNOWN_STRATEGIES:
+        config = EngineConfig.for_strategy(strategy)
+        assert (mapping_cache_key(dfg, cgra, config, "engine")
+                == PINNED_KEYS[strategy]), strategy
 
 
 def test_oracle_cache_reuse_is_observable():

@@ -27,6 +27,7 @@ from repro.serve import (
     CompileRequest,
     CompileService,
     LoadtestConfig,
+    MAX_HEADER_LINES,
     QueueFullError,
     RequestError,
     ServiceClosedError,
@@ -551,6 +552,40 @@ class TestHTTP:
                 return status_line
 
             assert b"411" in run(no_length())
+
+    def _raw_status(self, server, request: bytes) -> bytes:
+        async def probe():
+            reader, writer = await asyncio.open_connection(
+                server.server.host, server.server.port)
+            writer.write(request)
+            await writer.drain()
+            status_line = await reader.readline()
+            writer.close()
+            return status_line
+
+        return run(probe())
+
+    def test_negative_content_length_is_a_400(self, registry):
+        with BackgroundServer(workers=1, compile_fn=Seam()) as server:
+            status_line = self._raw_status(
+                server, b"POST /compile HTTP/1.1\r\nHost: x\r\n"
+                        b"Content-Length: -5\r\n\r\nabcde")
+            assert b"400" in status_line
+            # The connection was answered, not dropped: the daemon
+            # still serves the next client.
+            assert b"200" in self._raw_status(
+                server, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+
+    def test_too_many_header_lines_is_a_431(self, registry):
+        with BackgroundServer(workers=1, compile_fn=Seam()) as server:
+            filler = b"".join(b"X-Filler-%d: y\r\n" % i
+                              for i in range(MAX_HEADER_LINES))
+            at_limit = (b"GET /healthz HTTP/1.1\r\n" + filler
+                        + b"\r\n")
+            assert b"200" in self._raw_status(server, at_limit)
+            over_limit = (b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                          + filler + b"\r\n")
+            assert b"431" in self._raw_status(server, over_limit)
 
     def test_concurrent_identical_posts_coalesce(self, registry):
         gate = threading.Event()
