@@ -256,6 +256,7 @@ def _deepen(dfg: DFG, cgra: CGRA, config: EngineConfig,
         try:
             with obs.span(f"ii={ii}", category="mapper", kernel=dfg.name,
                           ii=ii):
+                tried: list[dict[int, DVFSLevel]] = []
                 for soften in range(softening_steps):
                     # Performance first (the paper's Alg. 1 falls back to
                     # normal labels rather than risk the II): before
@@ -268,6 +269,15 @@ def _deepen(dfg: DFG, cgra: CGRA, config: EngineConfig,
                     else:
                         labels = {n: cgra.dvfs.normal
                                   for n in dfg.node_ids()}
+                    # The attempt sequence below is a deterministic
+                    # function of (ii, labels) (the route memo is a pure
+                    # cache), so a step whose labels were already tried
+                    # at this II would replay the same failures. Once
+                    # softening or clamping saturates (every label
+                    # normal), the remaining steps are all such replays.
+                    if labels in tried:
+                        continue
+                    tried.append(labels)
                     floors: dict[int, int] = {}
                     for retry in range(config.max_reschedules + 1):
                         stats.attempts += 1
@@ -438,6 +448,9 @@ class _Candidate:
     tile: int
     time: int
     level: DVFSLevel
+    #: The winning probe's routes, keyed by edge index in
+    #: ``_route_adjacent`` order; ``_commit`` claims them verbatim.
+    routes: dict[int, Route]
 
 
 def _distance_np(cgra: CGRA):
@@ -713,7 +726,7 @@ class _Attempt:
                 if result is None:
                     continue
                 feasible += 1
-                time, route_latency = result
+                time, routes, route_latency = result
                 # Probes roll the pool back, so occupancy is invariant
                 # across this node's whole candidate loop: each tile's
                 # busy count is read from the claim pool at most once.
@@ -736,7 +749,7 @@ class _Attempt:
                 if best is None or (cost, tile, time) < (
                     best.cost, best.tile, best.time
                 ):
-                    best = _Candidate(cost, tile, time, level)
+                    best = _Candidate(cost, tile, time, level, routes)
         return best
 
     def _island_options(self, label: DVFSLevel) -> list:
@@ -913,9 +926,9 @@ class _Attempt:
     def _try_tile(self, node: int, tile: int, level: DVFSLevel,
                   island: int, s_hint: int | None = None,
                   window: tuple[int, int] | None = None,
-                  ) -> tuple[int, int] | None:
+                  ) -> tuple[int, dict[int, Route], int] | None:
         """First issue time in the window at which all adjacent edges
-        route; returns (time, total route latency) or None.
+        route; returns (time, routes, total route latency) or None.
 
         ``window`` optionally carries a precomputed ``_time_window``
         result for op duration ``s_hint`` (the candidate loop already
@@ -933,7 +946,7 @@ class _Attempt:
         while t <= latest:
             outcome = self._probe(node, tile, t, s, slowdown_of, slow)
             if isinstance(outcome, tuple):
-                return t, outcome[1]
+                return t, outcome[0], outcome[1]
             if outcome is _BREAK:
                 return None
             t += outcome  # jump forward by the observed shortfall
@@ -944,13 +957,15 @@ class _Attempt:
         """Try one (tile, t); returns (routes, latency), a forward jump
         (int >= 1), or _BREAK when larger t cannot help."""
         # The op claim is a single FU interval whose flat resource id is
-        # the tile id itself; probing it read-only first skips the
-        # checkpoint/raise/rollback round-trip of a doomed claim.
+        # the tile id itself. Checking it read-only is all a probe needs:
+        # the router never reads FU cells (they sit below the epoch's
+        # ``_fu_end`` too), so claiming the op here could not change
+        # any route — only the routes themselves are claimed and rolled
+        # back.
         pool = self.mrrg.pool
         if not pool.interval_free(tile, t, s):
             return 1
         token = pool.checkpoint()
-        pool.claim_rid(tile, t, s)  # the FU rid is the tile id
         outcome = self._route_adjacent(node, tile, t, s, slowdown_of, slow)
         pool.rollback(token)
         return outcome
@@ -1050,22 +1065,28 @@ class _Attempt:
     # -- commit -----------------------------------------------------------
 
     def _commit(self, node: int, candidate: _Candidate) -> None:
+        """Claim the winning candidate's op and its probe's routes.
+
+        The winning probe ran against exactly the pool state seen here
+        (every later probe rolled back; the op's own FU claim is
+        invisible to routing) and with the same slowdown vector (the
+        island's level is now assigned to what the probe assumed), so
+        re-running the router would find the very same routes.
+        """
         tile, t, level = candidate.tile, candidate.time, candidate.level
         island = self.cgra.island_of(tile).id
         if self.island_levels.get(island) is None:
             self.island_levels[island] = level
-        slowdown_of = self._slowdown_fn(None, None)
         slow = self._slow_vector(None, None)
         duration = self._op_cycles(node, tile) * level.slowdown
         self.mrrg.claim_all(op_claims(tile, t, duration))
-        routed = self._route_adjacent(node, tile, t, duration, slowdown_of,
-                                      slow)
-        if not isinstance(routed, tuple):
-            raise MappingError(
-                f"commit failed for node {node} on tile {tile} at t={t}; "
-                "engine invariant violated"
-            )
-        routes, _latency = routed
+        pool = self.mrrg.pool
+        routes = candidate.routes
+        for route in routes.values():
+            ready = (t + duration if route.src_node == node
+                     else self._ready(route.src_node))
+            pool.claim_route(route.path, ready, route.depart,
+                             route.deadline, slow)
         self.routes.update(routes)
         self.placements[node] = Placement(node, tile, t)
         self.stats.placements_committed += 1

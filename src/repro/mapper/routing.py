@@ -8,9 +8,9 @@ and finally waits in the consumer tile's registers until the consumer
 issues. The search state is (tile, time); cost is arrival time, so the
 first accepted goal pop is the earliest feasible arrival.
 
-Two accelerations sit on top of the plain Dijkstra, both chosen so the
-returned routes (and the earliest-arrival probe) are **bit-identical**
-to the unaccelerated search:
+Three accelerations sit on top of the plain Dijkstra, all chosen so
+the returned routes (and the earliest-arrival probe) are
+**bit-identical** to the unaccelerated search:
 
 * **Distance-oracle pruning.** The fabric's all-pairs hop-distance
   table (BFS per tile, computed once per :class:`CGRA`) gives the
@@ -29,9 +29,9 @@ to the unaccelerated search:
   triangle inequality, so the same argument applies while pruning far
   harder around slowed DVFS islands.
 
-* **Route memoization.** Candidate scoring, commit re-routing and
-  reschedule retries repeat the same (src, dst, timing) query against
-  the same congestion state over and over. The search outcome is a
+* **Route memoization.** Candidate scoring and reschedule retries
+  repeat the same (src, dst, timing) query against the same congestion
+  state over and over. The search outcome is a
   function of (II, endpoints, ready mod II, the deadline/horizon/wait
   deltas, the slowdown vector, and the routing-visible occupancy), so
   :class:`RouteMemo` caches results under exactly that key, using the
@@ -39,6 +39,20 @@ to the unaccelerated search:
   as the occupancy component. Values are stored relative to ``ready``
   (the search is shift-invariant under ``ready -> ready + k*II`` with
   fixed deltas), so probes of later iterations hit too.
+
+* **Layered search for uniform clocks.** When every hop takes one
+  cycle (no slowed island on the fabric or the candidate's), Dijkstra
+  pops one time layer at a time, in ascending tile id, and each state
+  keeps its first pusher as parent. The search then runs as one tile
+  bitmask per layer: layer ``t + 1`` is the OR of the per-(tile, slot)
+  open-neighbour masks of layer ``t`` (the destination is never
+  expanded), ANDed with the horizon mask ``{v : h(v) <= horizon - t -
+  1}``, plus the next seed. The earliest-arrival probe is the first
+  layer holding the destination; only the accepted goal's path is
+  rebuilt, taking at each step back the lowest-id predecessor in the
+  previous layer whose link was free — exactly the heap's first
+  pusher. The horizon masks are cached next to the oracle column.
+  Any slowed tile falls back to the general heap loop.
 """
 
 from __future__ import annotations
@@ -83,8 +97,9 @@ class RouteMemo:
         self.table: dict[tuple, tuple] = {}
         self.hits = 0
         self.misses = 0
-        #: (dst_tile, slow) -> weighted-distance heuristic column.
-        self.hcols: dict[tuple, list[int]] = {}
+        #: (dst_tile, slow) -> (weighted-distance heuristic column, its
+        #: horizon masks; see :func:`_horizon_masks`).
+        self.hcols: dict[tuple, tuple[list[int], tuple[int, ...]]] = {}
         #: Oracle columns built by Dijkstra vs served from the
         #: process-level topology-keyed cache (cross-point reuse).
         self.hcol_builds = 0
@@ -146,7 +161,7 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
                 > horizon:
             return None, None
     else:
-        hcol = _weighted_hcol(memo, mrrg.cgra, slow, dst_tile)
+        hcol, hmasks = _weighted_hcol(memo, mrrg.cgra, slow, dst_tile)
         if ready + hcol[src_tile] > horizon:
             return None, None
 
@@ -169,9 +184,15 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
                                ready + arrival_rel), probe
         memo.misses += 1
 
+    # Horizon masks select the layered search, which needs every hop
+    # to take exactly one cycle.
+    uniform = max(slow) == 1
     if hcol is None:
         min_slow = min(slow)
         hcol = [row[dst_tile] * min_slow for row in mrrg.cgra._distance]
+        hmasks = _horizon_masks(hcol) if uniform else None
+    elif not uniform:
+        hmasks = None
 
     # Deadline-tight pass first: a returned route always has arrival <=
     # deadline, and every ancestor of a returned goal state has f <=
@@ -179,10 +200,10 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
     # search's outcome — nor the probe, when some arrival <= deadline
     # exists. Only the no-arrival-by-deadline case needs the wide rerun
     # (the probe in (deadline, horizon] is what the engine jumps on).
-    result, probe = _search(pool, slow, hcol, src_tile, ready,
+    result, probe = _search(pool, slow, hcol, hmasks, src_tile, ready,
                             dst_tile, deadline, deadline, max_wait)
     if result is None and probe is None and horizon > deadline:
-        result, probe = _search(pool, slow, hcol, src_tile, ready,
+        result, probe = _search(pool, slow, hcol, hmasks, src_tile, ready,
                                 dst_tile, deadline, horizon, max_wait)
 
     if memo is not None:
@@ -256,7 +277,7 @@ def _pred_rows(cgra) -> tuple[tuple[int, ...], ...]:
 #: lower bounds, no matter how their islands or V/F tables differ.
 #: Reuse cannot change any mapping: the column is a pure function of
 #: the key, so a cached value is byte-identical to a rebuilt one.
-_HCOL_CACHE: dict[tuple, list[int]] = {}
+_HCOL_CACHE: dict[tuple, tuple[list[int], tuple[int, ...]]] = {}
 
 #: Safety valve for long-lived processes sweeping many fabrics.
 _HCOL_CACHE_MAX = 100_000
@@ -278,24 +299,44 @@ def clear_oracle_cache() -> None:
     _HCOL_CACHE.clear()
 
 
+def _horizon_masks(hcol: list[int]) -> tuple[int, ...]:
+    """Tile bitmasks of the oracle column, by remaining budget:
+    ``masks[k]`` holds every tile ``v`` with ``0 <= hcol[v] <= k``, and
+    the last entry every tile that can reach the destination at all.
+
+    Tiles that cannot reach the destination (``_UNREACHABLE``, or the
+    plain distance table's ``-1``) are left out everywhere: they lead
+    nowhere, so dropping them cannot change an arrival or a parent.
+    """
+    finite = [h for h in hcol if 0 <= h < _UNREACHABLE]
+    masks = [0] * (max(finite) + 1)
+    for tile, h in enumerate(hcol):
+        if 0 <= h < _UNREACHABLE:
+            masks[h] |= 1 << tile
+    for k in range(1, len(masks)):
+        masks[k] |= masks[k - 1]
+    return tuple(masks)
+
+
 def _weighted_hcol(memo: RouteMemo, cgra, slow: tuple[int, ...],
-                   dst_tile: int) -> list[int]:
+                   dst_tile: int) -> tuple[list[int], tuple[int, ...]]:
     """``h[tile]`` = cheapest congestion-free transit time from ``tile``
     to ``dst_tile`` under ``slow`` (a hop into tile ``v`` costs
-    ``slow[v]``). Computed by one Dijkstra from the destination over the
-    reversed link graph; cached in the memo per (dst, slow) and in the
-    process-level ``_HCOL_CACHE`` per (topology, dst, slow) so sweeps
-    over fabric variants sharing a topology build each column once."""
+    ``slow[v]``), paired with its :func:`_horizon_masks`. Computed by
+    one Dijkstra from the destination over the reversed link graph;
+    cached in the memo per (dst, slow) and in the process-level
+    ``_HCOL_CACHE`` per (topology, dst, slow) so sweeps over fabric
+    variants sharing a topology build each column once."""
     key = (dst_tile, slow)
-    col = memo.hcols.get(key)
-    if col is not None:
-        return col
+    entry = memo.hcols.get(key)
+    if entry is not None:
+        return entry
     global_key = (topology_fingerprint(cgra), dst_tile, slow)
-    col = _HCOL_CACHE.get(global_key)
-    if col is not None:
-        memo.hcols[key] = col
+    entry = _HCOL_CACHE.get(global_key)
+    if entry is not None:
+        memo.hcols[key] = entry
         memo.hcol_reuses += 1
-        return col
+        return entry
     preds = _pred_rows(cgra)
     col = [_UNREACHABLE] * cgra.num_tiles
     col[dst_tile] = 0
@@ -310,25 +351,30 @@ def _weighted_hcol(memo: RouteMemo, cgra, slow: tuple[int, ...],
             if nd < col[y]:
                 col[y] = nd
                 heappush(heap, (nd, y))
-    memo.hcols[key] = col
+    entry = (col, _horizon_masks(col))
+    memo.hcols[key] = entry
     memo.hcol_builds += 1
     if len(_HCOL_CACHE) < _HCOL_CACHE_MAX:
-        _HCOL_CACHE[global_key] = col
-    return col
+        _HCOL_CACHE[global_key] = entry
+    return entry
 
 
-def _search(pool, slow, hcol, src_tile: int, ready: int,
+def _search(pool, slow, hcol, hmasks, src_tile: int, ready: int,
             dst_tile: int, deadline: int, horizon: int, max_wait: int,
             ) -> tuple[RouteResult | None, int | None]:
     """The pruned Dijkstra itself (see the module docstring for why the
     pruning cannot change the result).
 
-    States are packed into single ints so the heap compares machine
-    words instead of tuples: a heap entry is ``t << 40 | tile << 24 |
-    depart`` (numeric order == the reference (t, tile, depart) order),
-    and a parent-map key is ``t << 16 | tile``. A state is pushed at
-    most once (the parent map doubles as the visited set), so pops are
-    unique by construction.
+    ``hmasks`` (the oracle column's :func:`_horizon_masks`) is given
+    exactly when every hop takes one cycle; the search then runs as
+    bitmask time layers, otherwise as the general heap loop.
+
+    Heap states are packed into single ints so the heap compares
+    machine words instead of tuples: a heap entry is ``t << 40 | tile
+    << 24 | depart`` (numeric order == the reference (t, tile, depart)
+    order), and a parent-map key is ``t << 16 | tile``. A state is
+    pushed at most once (the parent map doubles as the visited set), so
+    pops are unique by construction.
     """
     ii = pool.ii
     num_tiles = pool.num_tiles
@@ -336,71 +382,95 @@ def _search(pool, slow, hcol, src_tile: int, ready: int,
     caps = pool._caps
     adj = pool.adj
     xbar_cap = pool.xbar_capacity
-    heappush, heappop = heapq.heappush, heapq.heappop
 
     # Seed states: depart after waiting w cycles in the source registers.
     # Feasibility of the wait interval is monotone in w, so stop at the
     # first blocked prefix (and at the first unreachable-by-horizon
-    # departure: later departures are unreachable too).
-    heap: list[int] = []
-    parents: dict[int, int] = {}  # packed state -> packed state | -1
+    # departure: later departures are unreachable too). The seeds are
+    # (ready + w, src_tile) for w < n_seeds.
     src_reg_base = (2 * num_tiles + src_tile) * ii
     src_reg_cap = caps[2 * num_tiles + src_tile]
     h_src = hcol[src_tile]
+    n_seeds = 0
     for wait in range(max_wait + 1):
         if wait and use[src_reg_base + (ready + wait - 1) % ii] >= src_reg_cap:
             break
-        t = ready + wait
-        if t + h_src > horizon:
+        if ready + wait + h_src > horizon:
             break
-        parents[(t << 16) | src_tile] = -1
-        heappush(heap, (t << 40) | (src_tile << 24) | t)
+        n_seeds += 1
+    seed_end = ready + n_seeds
 
     dst_reg_rid = 2 * num_tiles + dst_tile
-    # Per-tile latest admissible arrival (arrive > limit[tile] can never
-    # reach the destination by the horizon). _UNREACHABLE makes the
-    # limit hugely negative, which rejects every arrival as intended.
-    limit = [horizon - h for h in hcol]
     earliest_arrival: int | None = None
 
-    if max(slow) == 1:
-        # Uniform fabric (no active slowdowns): every hop takes one
-        # cycle, so the per-neighbor latency lookup and the multi-cycle
-        # occupancy walk vanish. Same pop order, same results.
-        while heap:
-            entry = heappop(heap)
-            t = entry >> 40
-            tile = (entry >> 24) & 0xFFFF
-
-            if tile == dst_tile:
+    if hmasks is not None:
+        # Uniform clocks: every hop takes one cycle, so the heap would
+        # pop one time layer at a time, in ascending tile id, and a
+        # state's parent is its first pusher — the lowest-id open
+        # predecessor in the previous layer. Run the layers as tile
+        # bitmasks instead: layer t+1 is the union of the open
+        # neighbours of layer t (minus the destination, which is never
+        # expanded), cut by the horizon mask, plus the next seed. Only
+        # the accepted goal's path is ever rebuilt.
+        if not n_seeds:
+            return None, None
+        src_bit = 1 << src_tile
+        dst_bit = 1 << dst_tile
+        top = len(hmasks) - 1
+        layers: list[int] = []
+        # (tile, slot) -> bitmask of its open neighbours at that slot;
+        # the pool is not mutated during a search, so this is exact.
+        opened: dict[int, int] = {}
+        layer = src_bit
+        t = ready
+        while layer:
+            layers.append(layer)
+            if layer & dst_bit:
                 if earliest_arrival is None:
                     earliest_arrival = t
                 if t <= deadline and (
                     t == deadline
                     or pool.interval_free(dst_reg_rid, t, deadline - t)
                 ):
-                    path = _reconstruct(parents, (t << 16) | tile)
-                    return RouteResult(path, entry & 0xFFFFFF, t), t
-                continue  # a later arrival may find free registers
-
-            state = (t << 16) | tile
-            depart = entry & 0xFFFFFF
-            tslot = t % ii
-            arrive = t + 1
-            nbase = arrive << 16
-            hbase = (arrive << 40) | depart
-            for link_base, neighbor, xbar_base in adj[tile]:
-                if arrive > limit[neighbor]:
-                    continue
-                nstate = nbase | neighbor
-                if nstate in parents:
-                    continue
-                if use[link_base + tslot] or \
-                        use[xbar_base + tslot] >= xbar_cap:
-                    continue
-                parents[nstate] = state
-                heappush(heap, hbase | (neighbor << 24))
+                    path, depart = _rebuild_layers(
+                        pool, layers, src_tile, ready, seed_end, dst_tile, t
+                    )
+                    return RouteResult(path, depart, t), t
+            slot = t % ii
+            t += 1
+            frontier = layer & ~dst_bit
+            layer = src_bit if t < seed_end else 0
+            budget = horizon - t
+            if budget < 0 or not frontier:
+                continue
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                tile = low.bit_length() - 1
+                key = tile * ii + slot
+                mask = opened.get(key)
+                if mask is None:
+                    mask = 0
+                    for link_base, neighbor, xbar_base in adj[tile]:
+                        if not use[link_base + slot] and \
+                                use[xbar_base + slot] < xbar_cap:
+                            mask |= 1 << neighbor
+                    opened[key] = mask
+                reach |= mask
+            layer |= reach & hmasks[budget if budget < top else top]
         return None, earliest_arrival
+
+    heappush, heappop = heapq.heappush, heapq.heappop
+    heap: list[int] = []
+    parents: dict[int, int] = {}  # packed state -> packed state | -1
+    for t in range(ready, seed_end):
+        parents[(t << 16) | src_tile] = -1
+        heappush(heap, (t << 40) | (src_tile << 24) | t)
+    # Per-tile latest admissible arrival (arrive > limit[tile] can never
+    # reach the destination by the horizon). _UNREACHABLE makes the
+    # limit hugely negative, which rejects every arrival as intended.
+    limit = [horizon - h for h in hcol]
 
     while heap:
         entry = heappop(heap)
@@ -446,6 +516,38 @@ def _search(pool, slow, hcol, src_tile: int, ready: int,
             parents[nstate] = state
             heappush(heap, (arrive << 40) | (neighbor << 24) | depart)
     return None, earliest_arrival
+
+
+def _rebuild_layers(pool, layers: list[int], src_tile: int, ready: int,
+                    seed_end: int, dst_tile: int, arrival: int,
+                    ) -> tuple[tuple[int, ...], int]:
+    """The path and departure of the layered search's goal state.
+
+    Walks back one layer per hop: the parent of ``(t, v)`` is the
+    lowest-id tile of layer ``t - 1`` (never the destination) whose link
+    into ``v`` is free at that slot — the state the heap loop would have
+    popped first among ``v``'s pushers. (The crossbar and horizon checks
+    depend on ``v`` alone, so ``v``'s presence in its layer already
+    vouches for them.) The walk ends at a seed, whose time is the
+    departure.
+    """
+    use = pool._use
+    ii = pool.ii
+    radj = pool.radj
+    not_dst = ~(1 << dst_tile)
+    path = [dst_tile]
+    tile, t = dst_tile, arrival
+    while tile != src_tile or t >= seed_end:
+        t -= 1
+        prev = layers[t - ready] & not_dst
+        slot = t % ii
+        for pred, link_base in radj[tile]:
+            if prev >> pred & 1 and not use[link_base + slot]:
+                break
+        tile = pred
+        path.append(tile)
+    path.reverse()
+    return tuple(path), t
 
 
 def _reconstruct(parents: dict[int, int], state: int) -> tuple[int, ...]:

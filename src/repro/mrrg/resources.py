@@ -161,6 +161,15 @@ class ModuloResourcePool:
             )
             for t in range(num)
         )
+        #: Reverse router adjacency: per tile ``v``, ``(u, link_base)``
+        #: for every link ``u -> v``, in ascending ``u``.
+        radj: list[list[tuple[int, int]]] = [[] for _ in range(num)]
+        for u in range(num):
+            for link_base, nbr, _xbar_base in self.adj[u]:
+                radj[nbr].append((u, link_base))
+        self.radj: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple(row) for row in radj
+        )
         self._log: list[int] = []
         # Flat indices below this belong to FU resources; only cells at
         # or above it feed the routing-visibility epoch.

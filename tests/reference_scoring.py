@@ -68,7 +68,7 @@ def reference_best_candidate(self, node: int) -> _Candidate | None:
             if result is None:
                 continue
             feasible += 1
-            time, route_latency = result
+            time, routes, route_latency = result
             pressure = self.mrrg.tile_busy_slots(tile) / self.ii
             cost = (
                 self.config.w_time * time
@@ -85,7 +85,7 @@ def reference_best_candidate(self, node: int) -> _Candidate | None:
             if best is None or (cost, tile, time) < (
                 best.cost, best.tile, best.time
             ):
-                best = _Candidate(cost, tile, time, level)
+                best = _Candidate(cost, tile, time, level, routes)
     return best
 
 

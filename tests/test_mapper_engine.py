@@ -168,7 +168,8 @@ class TestEngineStats:
                           EngineConfig(dvfs_aware=True), stats=stats)
         validate_mapping(mapping)
         counters = stats.as_counters()
-        # The memo serves at least every commit re-route, and the
+        # Reschedules at a failing II repeat their early placements
+        # verbatim, so the memo serves some of their probes; and the
         # oracle prunes at least some window-infeasible tiles on fir.
         assert counters["route_memo_hits"] > 0
         assert counters["route_memo_misses"] > 0
@@ -177,3 +178,35 @@ class TestEngineStats:
         # Every counter the pipeline surfaces is present and an int.
         for name, value in counters.items():
             assert isinstance(value, int), name
+
+    def test_softening_skips_replayed_label_maps(self):
+        """A partitioner compile clamps every label to normal, so each
+        softening step after the first would replay the first one's
+        attempts exactly; none of them may run. The mapping itself is
+        pinned to its digest from before replays were skipped."""
+        import hashlib
+        import json
+
+        from repro.mapper.engine import EngineStats
+        from repro.streaming.app import lu_app
+        from repro.streaming.partitioner import (
+            _island_config,
+            _snake_island_order,
+            streaming_cgra,
+        )
+
+        cgra = streaming_cgra()
+        kernel = next(k for k in lu_app().all_kernels()
+                      if k.name == "solver1")
+        config = _island_config(cgra, tuple(_snake_island_order(cgra)[:1]))
+        stats = EngineStats()
+        mapping = map_dfg(kernel.dfg, cgra, config, stats=stats)
+        failed = [row for row in stats.per_ii if row["outcome"] == "failed"]
+        assert failed
+        for row in failed:
+            assert row["attempts"] <= config.max_reschedules + 1, row
+        blob = json.dumps(mapping.to_dict(), sort_keys=True,
+                          separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "7b8d1665ada8aeb196ad7ca9383a768ddd5497063ed886d8e118fdb999e1adc6"
+        )

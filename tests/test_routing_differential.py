@@ -8,8 +8,16 @@ arrival, and the same earliest-arrival probe the engine's issue-time
 jump relies on. Same-tile queries are the one deliberate divergence
 (the optimized probe is strictly more informative); their contract is
 pinned down separately.
+
+Uniform slowdown vectors (every hop one cycle) take the router's
+layered bitmask search rather than its heap loop, so scenarios draw
+them often, on mesh, torus and king fabrics up to 6x6, with and
+without a route memo (whose cached horizon masks the layered search
+reads), and with congested destination registers that push the
+accepted arrival past the earliest one.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import CGRA
@@ -22,16 +30,33 @@ FABRICS = {
     "mesh33": CGRA.build(3, 3, island_shape=(1, 1)),
     "mesh42": CGRA.build(4, 2, island_shape=(2, 2)),
     "torus33": CGRA.build(3, 3, island_shape=(1, 1), topology="torus"),
+    "king33": CGRA.build(3, 3, island_shape=(1, 1), topology="king"),
+    "mesh66": CGRA.build(6, 6, island_shape=(2, 2)),
 }
 
 
+def _fill(pool, key, start: int, length: int) -> None:
+    """Claim ``key`` over the interval until it is at capacity."""
+    for _ in range(pool.capacity(key)):
+        try:
+            pool.claim(key, start, length)
+        except MappingError:
+            return
+
+
 @st.composite
-def routing_scenario(draw):
-    """A congested MRRG plus one routing query."""
+def routing_scenario(draw, slowdowns=("mixed", "uniform")):
+    """A congested MRRG plus one routing query.
+
+    ``slowdowns`` picks the slowdown vector's kind: ``"mixed"`` draws
+    each tile from ``[1, 1, 2, 4]``, ``"uniform"`` is all ones.
+    """
     cgra = FABRICS[draw(st.sampled_from(sorted(FABRICS)))]
     num = cgra.num_tiles
     ii = draw(st.integers(min_value=1, max_value=5))
     mrrg = MRRG(cgra, ii, xbar_capacity=draw(st.integers(1, 3)))
+    src = draw(st.integers(0, num - 1))
+    dst = draw(st.integers(0, num - 1))
 
     # Random congestion: claims against every resource kind, applied
     # best-effort (overflows are simply skipped).
@@ -50,12 +75,17 @@ def routing_scenario(draw):
             mrrg.pool.claim(key, start, length)
         except MappingError:
             pass
+    # Full destination registers in some slots: early arrivals cannot
+    # wait there, so the search runs on to a later one.
+    for slot in draw(st.sets(st.integers(0, ii - 1), max_size=ii)):
+        _fill(mrrg.pool, ("reg", dst), slot, 1)
 
-    slow = tuple(
-        draw(st.sampled_from([1, 1, 2, 4])) for _ in range(num)
-    )
-    src = draw(st.integers(0, num - 1))
-    dst = draw(st.integers(0, num - 1))
+    if draw(st.sampled_from(slowdowns)) == "uniform":
+        slow = (1,) * num
+    else:
+        slow = tuple(
+            draw(st.sampled_from([1, 1, 2, 4])) for _ in range(num)
+        )
     ready = draw(st.integers(min_value=0, max_value=8))
     deadline = ready + draw(st.integers(min_value=-3, max_value=12))
     horizon = deadline + draw(st.sampled_from([0, 0, ii, 2 * ii]))
@@ -73,6 +103,16 @@ def _run_both(scenario, memo=None):
     return ref, new
 
 
+def _assert_same(ref, new):
+    (ref_route, ref_probe), (new_route, new_probe) = ref, new
+    assert (ref_route is None) == (new_route is None)
+    if ref_route is not None:
+        assert new_route.path == ref_route.path
+        assert new_route.depart == ref_route.depart
+        assert new_route.arrival == ref_route.arrival
+    assert new_probe == ref_probe
+
+
 class TestRouterEquivalence:
     @given(scenario=routing_scenario())
     @settings(max_examples=120, deadline=None)
@@ -81,13 +121,39 @@ class TestRouterEquivalence:
         mrrg, slow, src, ready, dst, deadline, horizon, max_wait = scenario
         if src == dst:
             return
-        (ref_route, ref_probe), (new_route, new_probe) = _run_both(scenario)
-        assert (ref_route is None) == (new_route is None)
-        if ref_route is not None:
-            assert new_route.path == ref_route.path
-            assert new_route.depart == ref_route.depart
-            assert new_route.arrival == ref_route.arrival
-        assert new_probe == ref_probe
+        _assert_same(*_run_both(scenario))
+
+    @given(scenario=routing_scenario(slowdowns=("uniform",)),
+           memoized=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_uniform_layered_search_identical(self, scenario, memoized):
+        """All-ones slowdowns (the layered search), with the plain
+        distance oracle or a memo's weighted one: same (route, probe)."""
+        mrrg, slow, src, ready, dst, deadline, horizon, max_wait = scenario
+        if src == dst:
+            return
+        memo = RouteMemo() if memoized else None
+        _assert_same(*_run_both(scenario, memo=memo))
+
+    @pytest.mark.parametrize("fabric", ["mesh66", "king33", "torus33"])
+    @pytest.mark.parametrize("memoized", [False, True])
+    def test_congested_destination_forces_late_arrival(self, fabric,
+                                                       memoized):
+        """The heavy tail: the destination registers are full in the
+        slot just before the deadline, so only an arrival exactly at the
+        deadline can hold the value, long after the earliest one."""
+        cgra = FABRICS[fabric]
+        ii, src, dst, ready, deadline = 5, 0, cgra.num_tiles - 1, 1, 12
+        mrrg = MRRG(cgra, ii)
+        _fill(mrrg.pool, ("reg", dst), deadline - 1, 1)
+        scenario = (mrrg, (1,) * cgra.num_tiles, src, ready, dst,
+                    deadline, deadline + ii, None)
+        ref, new = _run_both(scenario,
+                             memo=RouteMemo() if memoized else None)
+        _assert_same(ref, new)
+        route, probe = new
+        assert route.arrival == probe == deadline
+        assert ready + cgra.distance(src, dst) < deadline
 
     @given(scenario=routing_scenario())
     @settings(max_examples=80, deadline=None)
