@@ -96,6 +96,18 @@ class CGRA:
             self._neighbors[tile.id] = tuple(near)
         self._distance = self._all_pairs_hops()
 
+    #: Derived tables the MRRG pool and the router cache on a fabric.
+    #: They are rebuilt on demand, so pickling (shipping a fabric to a
+    #: worker process) leaves them out.
+    _DERIVED_CACHES = ("_mrrg_layout", "_mrrg_ii_tables", "_pred_neighbors",
+                       "_route_lanes")
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._DERIVED_CACHES:
+            state.pop(name, None)
+        return state
+
     def _all_pairs_hops(self) -> list[list[int]]:
         """BFS all-pairs hop distances (exact for any topology)."""
         n = self.num_tiles

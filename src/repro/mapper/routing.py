@@ -19,7 +19,6 @@ the returned routes (and the earliest-arrival probe) are
   reach the destination within the horizon, and — because ``h`` is
   consistent — neither can any of its descendants, so dropping it
   cannot change the parent, path or probe of any surviving state. The
-  pop order itself stays plain Dijkstra ``(t, tile, depart)``; the
   heuristic only filters pushes and rejects hopeless queries in O(1)
   before any frontier exists. When a :class:`RouteMemo` is supplied the
   bound is sharpened to the *slowdown-weighted* shortest transit time
@@ -40,19 +39,24 @@ the returned routes (and the earliest-arrival probe) are
   (the search is shift-invariant under ``ready -> ready + k*II`` with
   fixed deltas), so probes of later iterations hit too.
 
-* **Layered search for uniform clocks.** When every hop takes one
-  cycle (no slowed island on the fabric or the candidate's), Dijkstra
-  pops one time layer at a time, in ascending tile id, and each state
-  keeps its first pusher as parent. The search then runs as one tile
-  bitmask per layer: layer ``t + 1`` is the OR of the per-(tile, slot)
-  open-neighbour masks of layer ``t`` (the destination is never
-  expanded), ANDed with the horizon mask ``{v : h(v) <= horizon - t -
-  1}``, plus the next seed. The earliest-arrival probe is the first
-  layer holding the destination; only the accepted goal's path is
-  rebuilt, taking at each step back the lowest-id predecessor in the
-  previous layer whose link was free — exactly the heap's first
-  pusher. The horizon masks are cached next to the oracle column.
-  Any slowed tile falls back to the general heap loop.
+* **Bit-parallel layered search.** A hop's duration is the *receiving*
+  tile's slowdown, so every state that can push ``(t, v)`` sits in time
+  layer ``t - slow[v]``; Dijkstra pops a layer in ascending tile id, so
+  a state's parent is the lowest-id open pusher in that one layer. The
+  search therefore runs as one tile bitmask per time layer, in any
+  slowdown vector: layer ``t`` is the seed departing at ``t`` plus, for
+  each distinct slowdown ``s``, the slowdown-``s`` tiles that frontier
+  ``t - s`` reaches over links free (and into crossbars with room) in
+  all ``s`` slots of ``[t - s, t)``, ANDed with the horizon mask ``{v :
+  h(v) <= horizon - t}``. The pool keeps per-slot "full" bitmasks per
+  link class (links sharing one tile-id shift) and for the crossbars
+  exact on every claim and rollback, so expanding a layer is a few
+  integer operations (see :func:`_window`). The destination is never
+  expanded. The earliest-arrival probe is the first layer holding the
+  destination; only the accepted goal's path is rebuilt, walking back
+  ``slow[v]`` layers per hop to the lowest-id predecessor whose link
+  was free over the hop. The horizon masks and the per-slowdown tile
+  groups are cached next to the oracle column.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import or_
 
 from repro.mrrg.mrrg import MRRG, Claim, hop_claims, wait_claims
 from repro.mrrg.resources import MAX_CLAIM_LENGTH
@@ -98,8 +103,9 @@ class RouteMemo:
         self.hits = 0
         self.misses = 0
         #: (dst_tile, slow) -> (weighted-distance heuristic column, its
-        #: horizon masks; see :func:`_horizon_masks`).
-        self.hcols: dict[tuple, tuple[list[int], tuple[int, ...]]] = {}
+        #: horizon masks, the slowdown groups; see :func:`_horizon_masks`
+        #: and :func:`_slow_groups`).
+        self.hcols: dict[tuple, tuple] = {}
         #: Oracle columns built by Dijkstra vs served from the
         #: process-level topology-keyed cache (cross-point reuse).
         self.hcol_builds = 0
@@ -161,7 +167,8 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
                 > horizon:
             return None, None
     else:
-        hcol, hmasks = _weighted_hcol(memo, mrrg.cgra, slow, dst_tile)
+        hcol, hmasks, groups = _weighted_hcol(memo, mrrg.cgra, slow,
+                                              dst_tile)
         if ready + hcol[src_tile] > horizon:
             return None, None
 
@@ -184,15 +191,11 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
                                ready + arrival_rel), probe
         memo.misses += 1
 
-    # Horizon masks select the layered search, which needs every hop
-    # to take exactly one cycle.
-    uniform = max(slow) == 1
     if hcol is None:
         min_slow = min(slow)
         hcol = [row[dst_tile] * min_slow for row in mrrg.cgra._distance]
-        hmasks = _horizon_masks(hcol) if uniform else None
-    elif not uniform:
-        hmasks = None
+        hmasks = _horizon_masks(hcol)
+        groups = _slow_groups(slow)
 
     # Deadline-tight pass first: a returned route always has arrival <=
     # deadline, and every ancestor of a returned goal state has f <=
@@ -200,11 +203,11 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
     # search's outcome — nor the probe, when some arrival <= deadline
     # exists. Only the no-arrival-by-deadline case needs the wide rerun
     # (the probe in (deadline, horizon] is what the engine jumps on).
-    result, probe = _search(pool, slow, hcol, hmasks, src_tile, ready,
-                            dst_tile, deadline, deadline, max_wait)
+    result, probe = _search(pool, slow, hcol, hmasks, groups, src_tile,
+                            ready, dst_tile, deadline, deadline, max_wait)
     if result is None and probe is None and horizon > deadline:
-        result, probe = _search(pool, slow, hcol, hmasks, src_tile, ready,
-                                dst_tile, deadline, horizon, max_wait)
+        result, probe = _search(pool, slow, hcol, hmasks, groups, src_tile,
+                                ready, dst_tile, deadline, horizon, max_wait)
 
     if memo is not None:
         if len(memo.table) >= RouteMemo.MAX_ENTRIES:
@@ -277,7 +280,7 @@ def _pred_rows(cgra) -> tuple[tuple[int, ...], ...]:
 #: lower bounds, no matter how their islands or V/F tables differ.
 #: Reuse cannot change any mapping: the column is a pure function of
 #: the key, so a cached value is byte-identical to a rebuilt one.
-_HCOL_CACHE: dict[tuple, tuple[list[int], tuple[int, ...]]] = {}
+_HCOL_CACHE: dict[tuple, tuple] = {}
 
 #: Safety valve for long-lived processes sweeping many fabrics.
 _HCOL_CACHE_MAX = 100_000
@@ -318,12 +321,23 @@ def _horizon_masks(hcol: list[int]) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def _slow_groups(slow: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """``(s, tiles)`` for every distinct slowdown ``s``, ascending, where
+    ``tiles`` is the bitmask of the tiles whose slowdown is ``s`` (a hop
+    into any of them takes ``s`` cycles)."""
+    masks: dict[int, int] = {}
+    for tile, s in enumerate(slow):
+        masks[s] = masks.get(s, 0) | 1 << tile
+    return tuple(sorted(masks.items()))
+
+
 def _weighted_hcol(memo: RouteMemo, cgra, slow: tuple[int, ...],
-                   dst_tile: int) -> tuple[list[int], tuple[int, ...]]:
+                   dst_tile: int) -> tuple:
     """``h[tile]`` = cheapest congestion-free transit time from ``tile``
     to ``dst_tile`` under ``slow`` (a hop into tile ``v`` costs
-    ``slow[v]``), paired with its :func:`_horizon_masks`. Computed by
-    one Dijkstra from the destination over the reversed link graph;
+    ``slow[v]``), with its :func:`_horizon_masks` and the
+    :func:`_slow_groups` of ``slow``. The column comes from one Dijkstra
+    from the destination over the reversed link graph; the triple is
     cached in the memo per (dst, slow) and in the process-level
     ``_HCOL_CACHE`` per (topology, dst, slow) so sweeps over fabric
     variants sharing a topology build each column once."""
@@ -351,7 +365,7 @@ def _weighted_hcol(memo: RouteMemo, cgra, slow: tuple[int, ...],
             if nd < col[y]:
                 col[y] = nd
                 heappush(heap, (nd, y))
-    entry = (col, _horizon_masks(col))
+    entry = (col, _horizon_masks(col), _slow_groups(slow))
     memo.hcols[key] = entry
     memo.hcol_builds += 1
     if len(_HCOL_CACHE) < _HCOL_CACHE_MAX:
@@ -359,206 +373,198 @@ def _weighted_hcol(memo: RouteMemo, cgra, slow: tuple[int, ...],
     return entry
 
 
-def _search(pool, slow, hcol, hmasks, src_tile: int, ready: int,
-            dst_tile: int, deadline: int, horizon: int, max_wait: int,
-            ) -> tuple[RouteResult | None, int | None]:
-    """The pruned Dijkstra itself (see the module docstring for why the
-    pruning cannot change the result).
+def _lanes(pool) -> tuple[int, int, int, int, tuple[int, ...],
+                          tuple[int, ...]]:
+    """Constants of the one-multiply layer expansion (cached on the
+    CGRA; they depend on its link classes alone).
 
-    ``hmasks`` (the oracle column's :func:`_horizon_masks`) is given
-    exactly when every hop takes one cycle; the search then runs as
-    bitmask time layers, otherwise as the general heap loop.
+    Returns ``(rep, land_rep, sources, off, positions, folds)``. Lane
+    ``c`` is ``width = num_tiles + off + max shift`` bits wide, with
+    ``off = -min shift`` (shifts clamped at 0), and ``positions[c] = c *
+    width + off + shift_c``. ``frontier * rep`` then holds, in lane
+    ``c`` at offset ``off + v``, every tile ``v`` that a frontier
+    tile's class-``c`` link would reach — a plain OR of shifted copies,
+    because ``width`` keeps the copies disjoint so the product never
+    carries. ``sources`` holds every link the same way, ``land *
+    land_rep`` copies a tile mask into every lane at offset 0, and
+    ``folds`` are the right shifts that OR every lane into lane 0 (the
+    lane count padded to a power of two).
+    """
+    lanes = getattr(pool.cgra, "_route_lanes", None)
+    if lanes is None:
+        shifts = [shift for shift, _sources in pool.link_classes]
+        off = max(0, -min(shifts, default=0))
+        width = pool.num_tiles + off + max(0, max(shifts, default=0))
+        positions = tuple(c * width + off + shift
+                          for c, shift in enumerate(shifts))
+        rep = sum(1 << pos for pos in positions)
+        land_rep = sum(1 << (c * width) for c in range(len(shifts)))
+        sources = sum(srcs << pos for (_shift, srcs), pos
+                      in zip(pool.link_classes, positions))
+        folds = []
+        span = 1
+        while span < len(shifts):
+            span *= 2
+        while span > 1:
+            span //= 2
+            folds.append(span * width)
+        lanes = (rep, land_rep, sources, off, positions, tuple(folds))
+        pool.cgra._route_lanes = lanes
+    return lanes
 
-    Heap states are packed into single ints so the heap compares
-    machine words instead of tuples: a heap entry is ``t << 40 | tile
-    << 24 | depart`` (numeric order == the reference (t, tile, depart)
-    order), and a parent-map key is ``t << 16 | tile``. A state is
-    pushed at most once (the parent map doubles as the visited set), so
-    pops are unique by construction.
+
+def _window(pool, lanes, s: int, start: int, tiles: int) -> int:
+    """The open hops into ``tiles`` (each of slowdown ``s``) that leave
+    at time ``start``, in the lane layout of :func:`_lanes`.
+
+    Lane ``c`` holds, at offset ``off + v``, every tile ``v`` of
+    ``tiles`` whose crossbar has room and whose class-``c`` in-link is
+    free in each of the ``s`` slots from ``start`` on — Dijkstra's push
+    test, read from the pool's capacity masks.
     """
     ii = pool.ii
-    num_tiles = pool.num_tiles
-    use = pool._use
-    caps = pool._caps
-    adj = pool.adj
-    xbar_cap = pool.xbar_capacity
+    full = pool.full
+    _rep, land_rep, packed, off, positions, _folds = lanes
+    # One slice per slot: the class masks, then the crossbar mask.
+    row = full[start % ii::ii]
+    for k in range(1, min(s, ii)):
+        row = list(map(or_, row, full[(start + k) % ii::ii]))
+    for busy, pos in zip(row, positions):
+        if busy:
+            # ``busy`` only ever holds class-c sources: XOR drops them.
+            packed ^= busy << pos
+    return packed & (tiles & ~row[-1]) * land_rep << off
 
-    # Seed states: depart after waiting w cycles in the source registers.
-    # Feasibility of the wait interval is monotone in w, so stop at the
-    # first blocked prefix (and at the first unreachable-by-horizon
-    # departure: later departures are unreachable too). The seeds are
-    # (ready + w, src_tile) for w < n_seeds.
-    src_reg_base = (2 * num_tiles + src_tile) * ii
-    src_reg_cap = caps[2 * num_tiles + src_tile]
-    h_src = hcol[src_tile]
+
+def _seed_count(pool, src_tile: int, ready: int, h_src: int, horizon: int,
+                max_wait: int) -> int:
+    """How many seeds the search starts from: seed ``w`` departs after
+    waiting ``w`` cycles in the source registers. Feasibility of the
+    wait is monotone in ``w``, so counting stops at the first blocked
+    prefix, and at the first departure that cannot reach the
+    destination by the horizon (later ones cannot either)."""
+    ii = pool.ii
+    rid = 2 * pool.num_tiles + src_tile
+    base = rid * ii
+    cap = pool._caps[rid]
+    use = pool._use
     n_seeds = 0
     for wait in range(max_wait + 1):
-        if wait and use[src_reg_base + (ready + wait - 1) % ii] >= src_reg_cap:
+        if wait and use[base + (ready + wait - 1) % ii] >= cap:
             break
         if ready + wait + h_src > horizon:
             break
         n_seeds += 1
+    return n_seeds
+
+
+def _search(pool, slow, hcol, hmasks, groups, src_tile: int, ready: int,
+            dst_tile: int, deadline: int, horizon: int, max_wait: int,
+            ) -> tuple[RouteResult | None, int | None]:
+    """The pruned Dijkstra, run as one tile bitmask per time layer (see
+    the module docstring for why neither the pruning nor the layering
+    can change the result).
+
+    Layer ``t`` holds the seed departing at ``t`` plus, for each
+    slowdown group ``(s, tiles)``, the tiles of ``tiles`` reachable by
+    an open hop from frontier ``t - s``: one multiply spreads the
+    frontier over the link-class lanes, one AND with the cached
+    :func:`_window` keeps the open hops, and the folds OR the lanes
+    together. The horizon mask then drops every tile that cannot reach
+    the destination in the budget left. The destination is never
+    expanded, so it is dropped from the stored frontier.
+    """
+    n_seeds = _seed_count(pool, src_tile, ready, hcol[src_tile], horizon,
+                          max_wait)
+    if not n_seeds:
+        return None, None
     seed_end = ready + n_seeds
-
-    dst_reg_rid = 2 * num_tiles + dst_tile
+    ii = pool.ii
+    lanes = _lanes(pool)
+    rep, _land_rep, _sources, off, _positions, folds = lanes
+    src_bit = 1 << src_tile
+    dst_bit = 1 << dst_tile
+    dst_reg_rid = 2 * pool.num_tiles + dst_tile
+    top = len(hmasks) - 1
+    max_slow = groups[-1][0]
+    frontiers: list[int] = []
+    windows: dict[int, int] = {}
     earliest_arrival: int | None = None
-
-    if hmasks is not None:
-        # Uniform clocks: every hop takes one cycle, so the heap would
-        # pop one time layer at a time, in ascending tile id, and a
-        # state's parent is its first pusher — the lowest-id open
-        # predecessor in the previous layer. Run the layers as tile
-        # bitmasks instead: layer t+1 is the union of the open
-        # neighbours of layer t (minus the destination, which is never
-        # expanded), cut by the horizon mask, plus the next seed. Only
-        # the accepted goal's path is ever rebuilt.
-        if not n_seeds:
-            return None, None
-        src_bit = 1 << src_tile
-        dst_bit = 1 << dst_tile
-        top = len(hmasks) - 1
-        layers: list[int] = []
-        # (tile, slot) -> bitmask of its open neighbours at that slot;
-        # the pool is not mutated during a search, so this is exact.
-        opened: dict[int, int] = {}
-        layer = src_bit
-        t = ready
-        while layer:
-            layers.append(layer)
-            if layer & dst_bit:
-                if earliest_arrival is None:
-                    earliest_arrival = t
-                if t <= deadline and (
-                    t == deadline
-                    or pool.interval_free(dst_reg_rid, t, deadline - t)
-                ):
-                    path, depart = _rebuild_layers(
-                        pool, layers, src_tile, ready, seed_end, dst_tile, t
-                    )
-                    return RouteResult(path, depart, t), t
-            slot = t % ii
-            t += 1
-            frontier = layer & ~dst_bit
-            layer = src_bit if t < seed_end else 0
+    t = last = ready
+    while t <= horizon and t - last <= max_slow:
+        layer = src_bit if t < seed_end else 0
+        reach = 0
+        for s, tiles in groups:
+            start = t - s
+            if start < ready:
+                break
+            frontier = frontiers[start - ready]
+            if frontier:
+                key = s * ii + start % ii
+                window = windows.get(key)
+                if window is None:
+                    window = windows[key] = _window(pool, lanes, s, start,
+                                                    tiles)
+                reach |= frontier * rep & window
+        if reach:
+            for fold in folds:
+                reach |= reach >> fold
             budget = horizon - t
-            if budget < 0 or not frontier:
-                continue
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                tile = low.bit_length() - 1
-                key = tile * ii + slot
-                mask = opened.get(key)
-                if mask is None:
-                    mask = 0
-                    for link_base, neighbor, xbar_base in adj[tile]:
-                        if not use[link_base + slot] and \
-                                use[xbar_base + slot] < xbar_cap:
-                            mask |= 1 << neighbor
-                    opened[key] = mask
-                reach |= mask
-            layer |= reach & hmasks[budget if budget < top else top]
-        return None, earliest_arrival
-
-    heappush, heappop = heapq.heappush, heapq.heappop
-    heap: list[int] = []
-    parents: dict[int, int] = {}  # packed state -> packed state | -1
-    for t in range(ready, seed_end):
-        parents[(t << 16) | src_tile] = -1
-        heappush(heap, (t << 40) | (src_tile << 24) | t)
-    # Per-tile latest admissible arrival (arrive > limit[tile] can never
-    # reach the destination by the horizon). _UNREACHABLE makes the
-    # limit hugely negative, which rejects every arrival as intended.
-    limit = [horizon - h for h in hcol]
-
-    while heap:
-        entry = heappop(heap)
-        t = entry >> 40
-        tile = (entry >> 24) & 0xFFFF
-
-        if tile == dst_tile:
+            layer |= reach >> off & hmasks[budget if budget < top else top]
+        if layer & dst_bit:
             if earliest_arrival is None:
                 earliest_arrival = t
             if t <= deadline and (
                 t == deadline
                 or pool.interval_free(dst_reg_rid, t, deadline - t)
             ):
-                path = _reconstruct(parents, (t << 16) | tile)
-                return RouteResult(path, entry & 0xFFFFFF, t), t
-            continue  # a later arrival may find free registers
-
-        state = (t << 16) | tile
-        depart = entry & 0xFFFFFF
-        tslot = t % ii
-        for link_base, neighbor, xbar_base in adj[tile]:
-            s = slow[neighbor]
-            arrive = t + s
-            if arrive > limit[neighbor]:
-                continue
-            nstate = (arrive << 16) | neighbor
-            if nstate in parents:
-                continue
-            if s == 1:
-                if use[link_base + tslot] or \
-                        use[xbar_base + tslot] >= xbar_cap:
-                    continue
-            else:
-                blocked = False
-                for step in range(t, arrive):
-                    slot = step % ii
-                    if use[link_base + slot] or \
-                            use[xbar_base + slot] >= xbar_cap:
-                        blocked = True
-                        break
-                if blocked:
-                    continue
-            parents[nstate] = state
-            heappush(heap, (arrive << 40) | (neighbor << 24) | depart)
+                path, depart = _rebuild_layers(
+                    pool, frontiers, slow, src_tile, ready, seed_end,
+                    dst_tile, t
+                )
+                return RouteResult(path, depart, t), t
+            layer ^= dst_bit
+        frontiers.append(layer)
+        if layer:
+            last = t
+        t += 1
     return None, earliest_arrival
 
 
-def _rebuild_layers(pool, layers: list[int], src_tile: int, ready: int,
-                    seed_end: int, dst_tile: int, arrival: int,
+def _rebuild_layers(pool, frontiers: list[int], slow, src_tile: int,
+                    ready: int, seed_end: int, dst_tile: int, arrival: int,
                     ) -> tuple[tuple[int, ...], int]:
     """The path and departure of the layered search's goal state.
 
-    Walks back one layer per hop: the parent of ``(t, v)`` is the
-    lowest-id tile of layer ``t - 1`` (never the destination) whose link
-    into ``v`` is free at that slot — the state the heap loop would have
-    popped first among ``v``'s pushers. (The crossbar and horizon checks
-    depend on ``v`` alone, so ``v``'s presence in its layer already
+    Walks back ``slow[v]`` layers per hop into ``v``: the parent of
+    ``(t, v)`` is the lowest-id tile of frontier ``t - slow[v]`` whose
+    link into ``v`` is free in every slot of ``[t - slow[v], t)`` — the
+    state Dijkstra pops first among ``v``'s pushers, since they all sit
+    in that one layer. (The crossbar and horizon checks depend on ``v``
+    and the window alone, so ``v``'s presence in its layer already
     vouches for them.) The walk ends at a seed, whose time is the
     departure.
     """
     use = pool._use
     ii = pool.ii
     radj = pool.radj
-    not_dst = ~(1 << dst_tile)
     path = [dst_tile]
     tile, t = dst_tile, arrival
     while tile != src_tile or t >= seed_end:
-        t -= 1
-        prev = layers[t - ready] & not_dst
+        s = slow[tile]
+        t -= s
+        prev = frontiers[t - ready]
         slot = t % ii
         for pred, link_base in radj[tile]:
-            if prev >> pred & 1 and not use[link_base + slot]:
+            if prev >> pred & 1 and not use[link_base + slot] and (
+                s == 1 or not any(use[link_base + (t + k) % ii]
+                                  for k in range(1, s))
+            ):
                 break
         tile = pred
         path.append(tile)
     path.reverse()
     return tuple(path), t
-
-
-def _reconstruct(parents: dict[int, int], state: int) -> tuple[int, ...]:
-    path = []
-    while state != -1:
-        path.append(state & 0xFFFF)
-        state = parents[state]
-    path.reverse()
-    # Waiting at the source repeats its tile id only via depart handling,
-    # never via duplicate path entries.
-    return tuple(path)
 
 
 def route_claims(path: tuple[int, ...], ready: int, depart: int,

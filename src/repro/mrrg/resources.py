@@ -27,6 +27,15 @@ The pool is transactional: :meth:`checkpoint` / :meth:`rollback` undo
 claims, which the placement engine uses to back out of failed candidate
 placements.
 
+Every mutation also keeps :attr:`full` exact: per slot, one tile
+bitmask per link class (the links sharing one tile-id shift ``dst -
+src``) holding every source tile whose link of that class is taken, and
+one more holding every tile whose crossbar is at capacity. The router
+reads these masks to expand a whole time layer of its search with a few
+integer operations. The per-cell ``(mask index, bit)`` tables depend on
+the fabric and II alone, so they are cached on the :class:`CGRA` per II;
+every pool gets its own fresh mask list.
+
 Every mutation also maintains :attr:`epoch`, an order-independent
 Zobrist hash over the usage counts of *routing-visible* resources
 (links, crossbars, registers — FU occupancy is never read by the
@@ -98,11 +107,15 @@ def _wdelta(index: int, count: int) -> int:
 def _fabric_layout(cgra: CGRA):
     """The fabric's dense resource-id layout (cached on the CGRA).
 
-    Returns ``(rids, keys, link_rows, reg_caps)`` where ``rids`` maps
-    every resource key to its dense id, ``keys`` is the inverse, and
-    ``link_rows[tile][k]`` is the id of the link to the k-th entry of
-    ``cgra._neighbors[tile]`` (the router walks neighbours in exactly
-    that order).
+    Returns ``(rids, keys, link_rows, reg_caps, link_classes,
+    link_class)`` where ``rids`` maps every resource key to its dense
+    id, ``keys`` is the inverse, and ``link_rows[tile][k]`` is the id of
+    the link to the k-th entry of ``cgra._neighbors[tile]`` (the router
+    walks neighbours in exactly that order). ``link_classes`` lists one
+    ``(shift, sources)`` pair per distinct tile-id shift ``dst - src``,
+    in ascending shift order, where ``sources`` is the bitmask of tiles
+    owning a link with that shift; ``link_class[i]`` is the class of
+    the ``i``-th link (dense id ``3 * num_tiles + i``).
     """
     layout = getattr(cgra, "_mrrg_layout", None)
     if layout is not None:
@@ -124,9 +137,68 @@ def _fabric_layout(cgra: CGRA):
             keys.append(key)
         link_rows.append(tuple(row))
     reg_caps = tuple(cgra.tile(t).num_registers for t in range(num))
-    layout = (rids, tuple(keys), tuple(link_rows), reg_caps)
+    links = keys[3 * num:]
+    shifts = sorted({dst - src for _kind, src, dst in links})
+    link_class = tuple(shifts.index(dst - src) for _kind, src, dst in links)
+    sources = [0] * len(shifts)
+    for (_kind, src, _dst), c in zip(links, link_class):
+        sources[c] |= 1 << src
+    link_classes = tuple(zip(shifts, sources))
+    layout = (rids, tuple(keys), tuple(link_rows), reg_caps, link_classes,
+              link_class)
     cgra._mrrg_layout = layout
     return layout
+
+
+def _ii_tables(cgra: CGRA, ii: int):
+    """The pool tables that depend on the fabric and II alone (cached on
+    the CGRA per II, shared by every pool of that II).
+
+    Returns ``(adj, radj, full_at, full_bit)``: the link adjacency and
+    its reverse (see :class:`ModuloResourcePool`), and for every flat
+    cell the :attr:`~ModuloResourcePool.full` index its capacity bit
+    lives at (``-1`` for FU and register cells, which no mask tracks)
+    and that bit.
+    """
+    per_ii = getattr(cgra, "_mrrg_ii_tables", None)
+    if per_ii is None:
+        per_ii = cgra._mrrg_ii_tables = {}
+    tables = per_ii.get(ii)
+    if tables is not None:
+        return tables
+    _rids, keys, link_rows, _caps, link_classes, link_class = \
+        _fabric_layout(cgra)
+    num = cgra.num_tiles
+    adj = tuple(
+        tuple(
+            (lrid * ii, nbr, (num + nbr) * ii)
+            for lrid, nbr in zip(link_rows[t], cgra._neighbors[t])
+        )
+        for t in range(num)
+    )
+    radj: list[list[tuple[int, int]]] = [[] for _ in range(num)]
+    for u in range(num):
+        for link_base, nbr, _xbar_base in adj[u]:
+            radj[nbr].append((u, link_base))
+    bits = [1 << tile for tile in range(num)]
+    full_at = [-1] * (len(keys) * ii)
+    full_bit = [0] * (len(keys) * ii)
+    xbar_row = len(link_classes) * ii
+    for tile in range(num):
+        base = (num + tile) * ii
+        for slot in range(ii):
+            full_at[base + slot] = xbar_row + slot
+            full_bit[base + slot] = bits[tile]
+    for i, c in enumerate(link_class):
+        base = (3 * num + i) * ii
+        src = keys[3 * num + i][1]
+        for slot in range(ii):
+            full_at[base + slot] = c * ii + slot
+            full_bit[base + slot] = bits[src]
+    tables = (adj, tuple(tuple(row) for row in radj), tuple(full_at),
+              tuple(full_bit))
+    per_ii[ii] = tables
+    return tables
 
 
 class ModuloResourcePool:
@@ -138,7 +210,8 @@ class ModuloResourcePool:
         self.cgra = cgra
         self.ii = ii
         self.xbar_capacity = xbar_capacity
-        rids, keys, link_rows, reg_caps = _fabric_layout(cgra)
+        rids, keys, link_rows, reg_caps, link_classes, _link_class = \
+            _fabric_layout(cgra)
         num = cgra.num_tiles
         self.num_tiles = num
         self._rids = rids
@@ -151,25 +224,22 @@ class ModuloResourcePool:
         #: Flat usage counts, indexed ``rid * ii + slot``. The router
         #: reads this directly (read-only) on its hot path.
         self._use: list[int] = [0] * (len(keys) * ii)
-        #: Router adjacency: per tile, ``(link_base, neighbor,
+        #: ``(shift, sources)`` per link class, in class order (see
+        #: :func:`_fabric_layout`).
+        self.link_classes: tuple[tuple[int, int], ...] = link_classes
+        #: Link adjacency (``adj``): per tile, ``(link_base, neighbor,
         #: xbar_base)`` triples with the ``* ii`` offsets pre-applied,
-        #: in ``cgra._neighbors`` order.
-        self.adj: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
-            tuple(
-                (lrid * ii, nbr, (num + nbr) * ii)
-                for lrid, nbr in zip(link_rows[t], cgra._neighbors[t])
-            )
-            for t in range(num)
-        )
-        #: Reverse router adjacency: per tile ``v``, ``(u, link_base)``
-        #: for every link ``u -> v``, in ascending ``u``.
-        radj: list[list[tuple[int, int]]] = [[] for _ in range(num)]
-        for u in range(num):
-            for link_base, nbr, _xbar_base in self.adj[u]:
-                radj[nbr].append((u, link_base))
-        self.radj: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(row) for row in radj
-        )
+        #: in ``cgra._neighbors`` order. Its reverse (``radj``, which
+        #: the router walks back along): per tile ``v``, ``(u,
+        #: link_base)`` for every link ``u -> v``, in ascending ``u``.
+        self.adj, self.radj, self._full_at, self._full_bit = \
+            _ii_tables(cgra, ii)
+        #: Capacity masks, indexed ``c * ii + slot``: for link class
+        #: ``c`` the source tiles whose class-``c`` link is taken at
+        #: ``slot``; at ``c == len(link_classes)`` the tiles whose
+        #: crossbar is at capacity. Exact after every mutation; the
+        #: router reads them (read-only) on its hot path.
+        self.full: list[int] = [0] * ((len(link_classes) + 1) * ii)
         self._log: list[int] = []
         # Flat indices below this belong to FU resources; only cells at
         # or above it feed the routing-visibility epoch.
@@ -294,6 +364,10 @@ class ModuloResourcePool:
             if index >= self._fu_end:
                 w = _WTAB.get((index << 4) | count)
                 self._epoch ^= _wdelta(index, count) if w is None else w
+                if count + 1 == cap:
+                    at = self._full_at[index]
+                    if at >= 0:
+                        self.full[at] |= self._full_bit[index]
             return
         self._check_length(length)
         log = self._log
@@ -301,6 +375,9 @@ class ModuloResourcePool:
         fu_end = self._fu_end
         epoch = self._epoch
         wtab_get = _WTAB.get
+        full = self.full
+        full_at = self._full_at
+        full_bit = self._full_bit
         overflow = False
         slot = start % ii
         for _ in range(length):
@@ -317,13 +394,21 @@ class ModuloResourcePool:
             if index >= fu_end:
                 w = wtab_get((index << 4) | count)
                 epoch ^= _wdelta(index, count) if w is None else w
+                if count + 1 == cap:
+                    at = full_at[index]
+                    if at >= 0:
+                        full[at] |= full_bit[index]
         if overflow:
-            # Undo the partial write so a failed claim is a no-op.
+            # Undo the partial write so a failed claim is a no-op. Every
+            # undone cell ends below capacity, so its mask bit clears.
             while len(log) > mark:
                 index = log.pop()
                 count = use[index] = use[index] - 1
                 if index >= fu_end:
                     epoch ^= _wdelta(index, count)
+                    at = full_at[index]
+                    if at >= 0:
+                        full[at] &= ~full_bit[index]
             self._epoch = epoch
             raise MappingError(
                 f"resource {self._keys[rid]} oversubscribed at slots "
@@ -384,12 +469,19 @@ class ModuloResourcePool:
         fu_end = self._fu_end
         epoch = self._epoch
         wtab_get = _WTAB.get
+        full = self.full
+        full_at = self._full_at
+        full_bit = self._full_bit
         while len(log) > token:
             index = log.pop()
             count = use[index] = use[index] - 1
             if index >= fu_end:
                 w = wtab_get((index << 4) | count)
                 epoch ^= _wdelta(index, count) if w is None else w
+                # A released cell is below capacity: clear its mask bit.
+                at = full_at[index]
+                if at >= 0:
+                    full[at] &= ~full_bit[index]
         self._epoch = epoch
 
     # -- statistics -------------------------------------------------------------

@@ -4,6 +4,7 @@ expensive part, and many tests interrogate the same mapping."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.arch import CGRA
 from repro.frontend import lower_kernel
@@ -15,6 +16,13 @@ from repro.mapper import (
     map_dvfs_aware,
 )
 from repro.mapper.timing import compute_timing
+
+#: ``pytest --hypothesis-profile deep``: 10x the default example count.
+#: Property tests that pin their own count scale it by the loaded
+#: profile's ``max_examples`` (see ``tests/test_routing_differential.py``).
+settings.register_profile(
+    "deep", max_examples=10 * settings.get_profile("default").max_examples
+)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,11 @@
 """Tests for the modulo resource pool and MRRG claim vocabulary."""
 
-import pytest
+import pickle
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.arch import CGRA
 from repro.errors import MappingError
 from repro.mrrg import MRRG, ModuloResourcePool, fu_key, link_key, reg_key, xbar_key
 from repro.mrrg.mrrg import hop_claims, op_claims, wait_claims
@@ -181,3 +185,120 @@ class TestCongestionEpoch:
         # is_free runs a scratch transaction; it must not leak epoch.
         assert mrrg.is_free([(reg_key(0), 0, 6), (link_key(0, 1), 0, 1)])
         assert mrrg.pool.epoch == before
+
+
+MASK_FABRICS = {
+    "mesh66": CGRA.build(6, 6, island_shape=(2, 2)),
+    "king33": CGRA.build(3, 3, island_shape=(1, 1), topology="king"),
+    # Non-square torus: its wrap shifts (+-3, +-8) differ from its row
+    # and column shifts (+-1, +-4).
+    "torus34": CGRA.build(3, 4, island_shape=(1, 1), topology="torus"),
+}
+
+
+def _recomputed_full(pool: ModuloResourcePool) -> list[int]:
+    """``pool.full`` rebuilt from scratch out of the usage counts, with
+    the link classes rederived from the fabric's neighbour lists."""
+    cgra, ii = pool.cgra, pool.ii
+    shifts = sorted({v - u for u in range(cgra.num_tiles)
+                     for v in cgra._neighbors[u]})
+    full = [0] * ((len(shifts) + 1) * ii)
+    for (key, slot), count in pool.usage_snapshot().items():
+        if key[0] == "link" and count >= 1:
+            _kind, src, dst = key
+            full[shifts.index(dst - src) * ii + slot] |= 1 << src
+        elif key[0] == "xbar" and count >= pool.xbar_capacity:
+            full[len(shifts) * ii + slot] |= 1 << key[1]
+    return full
+
+
+@st.composite
+def _pool_ops(draw):
+    """A pool plus a random sequence of claims, route claims,
+    checkpoints and rollbacks (overflowing claims included)."""
+    cgra = MASK_FABRICS[draw(st.sampled_from(sorted(MASK_FABRICS)))]
+    ii = draw(st.integers(1, 5))
+    pool = ModuloResourcePool(cgra, ii, xbar_capacity=draw(st.integers(1, 3)))
+    num = cgra.num_tiles
+    links = [(u, v) for u in range(num) for v in cgra._neighbors[u]]
+    ops = []
+    for _ in range(draw(st.integers(1, 40))):
+        op = draw(st.sampled_from(
+            ["claim", "claim", "route", "checkpoint", "rollback"]
+        ))
+        if op == "claim":
+            kind = draw(st.sampled_from(["fu", "xbar", "reg", "link"]))
+            if kind == "link":
+                key = ("link", *draw(st.sampled_from(links)))
+            else:
+                key = (kind, draw(st.integers(0, num - 1)))
+            # Lengths past II wrap onto slots already claimed in the same
+            # call, so some overflow midway and undo a partial write.
+            ops.append((op, key, draw(st.integers(0, 2 * ii)),
+                        draw(st.integers(1, 2 * ii + 2))))
+        elif op == "route":
+            path = [draw(st.integers(0, num - 1))]
+            for _ in range(draw(st.integers(0, 4))):
+                path.append(draw(st.sampled_from(cgra._neighbors[path[-1]])))
+            slow = tuple(draw(st.sampled_from([1, 1, 2, 4]))
+                         for _ in range(num))
+            ready = draw(st.integers(0, 2 * ii))
+            depart = ready + draw(st.integers(0, 2))
+            arrival = depart + sum(slow[v] for v in path[1:])
+            deadline = arrival + draw(st.integers(0, 3))
+            ops.append((op, tuple(path), ready, depart, deadline, slow))
+        else:
+            ops.append((op,))
+    return pool, ops
+
+
+class TestFullMasks:
+    """``pool.full`` is what the router expands layers with: it must
+    equal a from-scratch recomputation after every mutation."""
+
+    @given(case=_pool_ops())
+    @settings(max_examples=settings.default.max_examples, deadline=None)
+    def test_masks_track_every_mutation(self, case):
+        pool, ops = case
+        tokens = []
+        for op, *args in ops:
+            if op == "claim":
+                try:
+                    pool.claim(*args)
+                except MappingError:
+                    pass
+            elif op == "route":
+                try:
+                    pool.claim_route(*args)
+                except MappingError:
+                    pass
+            elif op == "checkpoint":
+                tokens.append(pool.checkpoint())
+            elif tokens:
+                pool.rollback(tokens.pop())
+            assert pool.full == _recomputed_full(pool)
+        pool.rollback(0)
+        assert not any(pool.full)
+
+    def test_pools_do_not_share_masks(self):
+        cgra = MASK_FABRICS["torus34"]
+        a = ModuloResourcePool(cgra, ii=3)
+        b = ModuloResourcePool(cgra, ii=3)
+        # The per-II tables are cached on the fabric; the masks are not.
+        assert a.adj is b.adj
+        assert a.full is not b.full
+        a.claim(link_key(0, 1), 0, 3)
+        a.claim(xbar_key(5), 1, 1)
+        assert any(a.full)
+        assert not any(b.full)
+        assert b.full == _recomputed_full(b)
+
+    def test_pickled_fabric_drops_cached_tables(self):
+        cgra = CGRA.build(3, 3, island_shape=(1, 1))
+        ModuloResourcePool(cgra, ii=2)
+        assert hasattr(cgra, "_mrrg_ii_tables")
+        copy = pickle.loads(pickle.dumps(cgra))
+        assert not hasattr(copy, "_mrrg_ii_tables")
+        pool = ModuloResourcePool(copy, ii=2)
+        pool.claim(link_key(0, 1), 0, 1)
+        assert pool.full == _recomputed_full(pool)

@@ -1,20 +1,24 @@
 """Differential property tests: optimized router vs. reference Dijkstra.
 
 The optimized ``find_route`` (distance-oracle pruning, deadline-tight
-first pass, packed-int states, route memo) must return exactly what the
-plain reference Dijkstra in :mod:`tests.reference_routing` returns, on
-random fabrics under random congestion — same path, same depart, same
-arrival, and the same earliest-arrival probe the engine's issue-time
-jump relies on. Same-tile queries are the one deliberate divergence
-(the optimized probe is strictly more informative); their contract is
-pinned down separately.
+first pass, bit-parallel layered search over the pool's capacity masks,
+route memo) must return exactly what the plain reference Dijkstra in
+:mod:`tests.reference_routing` returns, on random fabrics under random
+congestion — same path, same depart, same arrival, and the same
+earliest-arrival probe the engine's issue-time jump relies on.
+Same-tile queries are the one deliberate divergence (the optimized
+probe is strictly more informative); their contract is pinned down
+separately.
 
-Uniform slowdown vectors (every hop one cycle) take the router's
-layered bitmask search rather than its heap loop, so scenarios draw
-them often, on mesh, torus and king fabrics up to 6x6, with and
-without a route memo (whose cached horizon masks the layered search
-reads), and with congested destination registers that push the
-accepted arrival past the earliest one.
+The layered search serves every slowdown vector, so scenarios draw
+three kinds — mixed, all ones, and all slowed (no tile at speed) — on
+mesh, torus and king fabrics up to 6x6, including a non-square torus
+whose wrap shifts differ from its row shifts. Congestion is built from
+claims interleaved with a checkpoint and a rollback, so the masks the
+rollback clears are exercised too. Queries run with and without a route
+memo (whose cached horizon masks and slowdown groups the search reads),
+and with congested destination registers that push the accepted
+arrival past the earliest one.
 """
 
 import pytest
@@ -32,7 +36,15 @@ FABRICS = {
     "torus33": CGRA.build(3, 3, island_shape=(1, 1), topology="torus"),
     "king33": CGRA.build(3, 3, island_shape=(1, 1), topology="king"),
     "mesh66": CGRA.build(6, 6, island_shape=(2, 2)),
+    "torus34": CGRA.build(3, 4, island_shape=(1, 1), topology="torus"),
+    "mesh25": CGRA.build(2, 5, island_shape=(1, 1)),
 }
+
+
+def _examples(n: int) -> int:
+    """``n`` examples under the default profile, scaled with the loaded
+    profile's ``max_examples`` (the ``deep`` profile runs 10x)."""
+    return n * settings.default.max_examples // 100
 
 
 def _fill(pool, key, start: int, length: int) -> None:
@@ -44,12 +56,29 @@ def _fill(pool, key, start: int, length: int) -> None:
             return
 
 
+def _congest(draw, pool, keys, ii: int, max_claims: int) -> None:
+    """Up to ``max_claims`` random claims, applied best-effort
+    (overflows are simply skipped)."""
+    for _ in range(draw(st.integers(min_value=0, max_value=max_claims))):
+        key = draw(st.sampled_from(keys))
+        start = draw(st.integers(min_value=0, max_value=2 * ii))
+        length = draw(st.integers(min_value=1, max_value=ii + 2))
+        try:
+            pool.claim(key, start, length)
+        except MappingError:
+            pass
+
+
+SLOWDOWN_KINDS = ("mixed", "uniform", "slowed")
+
+
 @st.composite
-def routing_scenario(draw, slowdowns=("mixed", "uniform")):
+def routing_scenario(draw, slowdowns=SLOWDOWN_KINDS):
     """A congested MRRG plus one routing query.
 
     ``slowdowns`` picks the slowdown vector's kind: ``"mixed"`` draws
-    each tile from ``[1, 1, 2, 4]``, ``"uniform"`` is all ones.
+    each tile from ``[1, 1, 2, 4]``, ``"uniform"`` is all ones and
+    ``"slowed"`` draws each tile from ``[2, 4]``.
     """
     cgra = FABRICS[draw(st.sampled_from(sorted(FABRICS)))]
     num = cgra.num_tiles
@@ -58,34 +87,27 @@ def routing_scenario(draw, slowdowns=("mixed", "uniform")):
     src = draw(st.integers(0, num - 1))
     dst = draw(st.integers(0, num - 1))
 
-    # Random congestion: claims against every resource kind, applied
-    # best-effort (overflows are simply skipped).
-    links = [
-        (src, dst) for src in range(num) for dst in cgra._neighbors[src]
-    ]
-    for _ in range(draw(st.integers(min_value=0, max_value=25))):
-        kind = draw(st.sampled_from(["fu", "xbar", "reg", "link"]))
-        if kind == "link":
-            key = ("link", *draw(st.sampled_from(links)))
-        else:
-            key = (kind, draw(st.integers(0, num - 1)))
-        start = draw(st.integers(min_value=0, max_value=2 * ii))
-        length = draw(st.integers(min_value=1, max_value=ii + 2))
-        try:
-            mrrg.pool.claim(key, start, length)
-        except MappingError:
-            pass
+    # Random congestion against every resource kind: claims, then a
+    # checkpoint, more claims and (usually) a rollback of those.
+    keys = [("link", u, v) for u in range(num) for v in cgra._neighbors[u]]
+    keys += [(kind, tile) for kind in ("fu", "xbar", "reg")
+             for tile in range(num)]
+    _congest(draw, mrrg.pool, keys, ii, 25)
+    token = mrrg.pool.checkpoint()
+    _congest(draw, mrrg.pool, keys, ii, 15)
+    if draw(st.integers(0, 3)):
+        mrrg.pool.rollback(token)
     # Full destination registers in some slots: early arrivals cannot
     # wait there, so the search runs on to a later one.
     for slot in draw(st.sets(st.integers(0, ii - 1), max_size=ii)):
         _fill(mrrg.pool, ("reg", dst), slot, 1)
 
-    if draw(st.sampled_from(slowdowns)) == "uniform":
+    kind = draw(st.sampled_from(slowdowns))
+    if kind == "uniform":
         slow = (1,) * num
     else:
-        slow = tuple(
-            draw(st.sampled_from([1, 1, 2, 4])) for _ in range(num)
-        )
+        choices = [1, 1, 2, 4] if kind == "mixed" else [2, 4]
+        slow = tuple(draw(st.sampled_from(choices)) for _ in range(num))
     ready = draw(st.integers(min_value=0, max_value=8))
     deadline = ready + draw(st.integers(min_value=-3, max_value=12))
     horizon = deadline + draw(st.sampled_from([0, 0, ii, 2 * ii]))
@@ -115,7 +137,7 @@ def _assert_same(ref, new):
 
 class TestRouterEquivalence:
     @given(scenario=routing_scenario())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=_examples(120), deadline=None)
     def test_cross_tile_results_identical(self, scenario):
         """src != dst: the full (route, probe) pair must match."""
         mrrg, slow, src, ready, dst, deadline, horizon, max_wait = scenario
@@ -123,12 +145,11 @@ class TestRouterEquivalence:
             return
         _assert_same(*_run_both(scenario))
 
-    @given(scenario=routing_scenario(slowdowns=("uniform",)),
-           memoized=st.booleans())
-    @settings(max_examples=120, deadline=None)
-    def test_uniform_layered_search_identical(self, scenario, memoized):
-        """All-ones slowdowns (the layered search), with the plain
-        distance oracle or a memo's weighted one: same (route, probe)."""
+    @given(scenario=routing_scenario(), memoized=st.booleans())
+    @settings(max_examples=_examples(240), deadline=None)
+    def test_layered_search_identical(self, scenario, memoized):
+        """Every slowdown kind, with the plain distance oracle or a
+        memo's weighted one: same (route, probe)."""
         mrrg, slow, src, ready, dst, deadline, horizon, max_wait = scenario
         if src == dst:
             return
@@ -156,7 +177,7 @@ class TestRouterEquivalence:
         assert ready + cgra.distance(src, dst) < deadline
 
     @given(scenario=routing_scenario())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=_examples(80), deadline=None)
     def test_same_tile_contract(self, scenario):
         """src == dst: same feasibility; the optimized probe is the
         latest deadline the registers can hold the value for."""
@@ -184,7 +205,7 @@ class TestRouterEquivalence:
         assert not mrrg.is_free(wait_claims(src, ready, new_probe + 1))
 
     @given(scenario=routing_scenario())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=_examples(60), deadline=None)
     def test_memoized_result_identical(self, scenario):
         """A memo hit must reproduce the fresh search exactly, and a
         pool mutation (new congestion epoch) must not serve stale hits."""
