@@ -188,11 +188,10 @@ def cmd_stream(args) -> int:
 
     from repro.streaming.app import gcn_app, lu_app
     from repro.streaming.controller import DVFSController
-    from repro.streaming.drips import fast_simulate_drips, simulate_drips
-    from repro.streaming.engine import fast_simulate_stream, simulate_stream
+    from repro.streaming.drips import fast_simulate_drips
+    from repro.streaming.engine import fast_simulate_stream
     from repro.streaming.partitioner import partition_app, streaming_cgra
     from repro.streaming.scenarios import make_scenario
-    from repro.streaming.stage import inputs_of
     from repro.streaming.workloads import (
         EnzymeGraphStream,
         SparseMatrixStream,
@@ -226,36 +225,30 @@ def cmd_stream(args) -> int:
     # The partitioner profiles the first inputs (the paper uses 50);
     # cap the prefix so a million-input run doesn't profile a third of
     # the stream. The rest of the stream is only ever touched block by
-    # block on the fast engine.
+    # block.
     profile_n = min(50, max(5, args.inputs // 3))
     profile = take_inputs(workload.feature_blocks(), profile_n)
     instrument = Instrumentation()
     partition = None
 
     def run_streaming():
-        if args.engine == "fast":
-            controller = DVFSController(
-                dvfs=fabric.dvfs,
-                kernel_names=[p.kernel.name for p in partition.placements],
-                window=args.window,
-                record_decisions=False,
-            )
-            iced = fast_simulate_stream(
-                partition,
-                skip_blocks(workload.feature_blocks(), profile_n),
-                window=args.window, controller=controller,
-                keep_windows=False,
-            )
-            drips = fast_simulate_drips(
-                partition,
-                skip_blocks(workload.feature_blocks(), profile_n),
-                window=args.window, keep_windows=False,
-            )
-        else:
-            run = inputs_of(skip_blocks(workload.feature_blocks(),
-                                        profile_n))
-            iced = simulate_stream(partition, run, window=args.window)
-            drips = simulate_drips(partition, run, window=args.window)
+        controller = DVFSController(
+            dvfs=fabric.dvfs,
+            kernel_names=[p.kernel.name for p in partition.placements],
+            window=args.window,
+            record_decisions=False,
+        )
+        iced = fast_simulate_stream(
+            partition,
+            skip_blocks(workload.feature_blocks(), profile_n),
+            window=args.window, controller=controller,
+            keep_windows=False,
+        )
+        drips = fast_simulate_drips(
+            partition,
+            skip_blocks(workload.feature_blocks(), profile_n),
+            window=args.window, keep_windows=False,
+        )
         return iced, drips
 
     with _tracing(args.trace):
@@ -290,7 +283,7 @@ def cmd_stream(args) -> int:
     print(f"perf/W ratio (ICED / DRIPS): {ratio:.3f}")
     streamed = iced.inputs + drips.inputs
     if elapsed > 0:
-        print(f"engine: {args.engine}, {streamed} inputs streamed in "
+        print(f"{streamed} inputs streamed in "
               f"{elapsed:.2f}s ({streamed / elapsed:,.0f} inputs/sec)")
     if args.stats:
         print()
@@ -382,7 +375,7 @@ def cmd_fleet(args) -> int:
         )
         return FleetSim(spec).run(
             jobs=args.jobs, use_cache=not args.no_cache,
-            cache_dir=args.cache_dir, batched=not args.reference,
+            cache_dir=args.cache_dir,
         )
 
     try:
@@ -779,13 +772,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="scenario stream seed (default: the "
                              "scenario's registered seed)")
     stream.add_argument("--inputs", type=int, default=60,
-                        help="synthetic stream length (scales to 10^6+ "
-                             "on the fast engine)")
+                        help="synthetic stream length (scales to 10^6+)")
     stream.add_argument("--window", type=int, default=10)
-    stream.add_argument("--engine", default="fast",
-                        choices=("fast", "reference"),
-                        help="vectorized window-batched engine (fast) or "
-                             "the scalar reference (identical results)")
     stream.add_argument("--profile", action="store_true",
                         help="cProfile the streaming phase and print the "
                              "hottest functions")
@@ -854,9 +842,6 @@ def main(argv: list[str] | None = None) -> int:
     fleet.add_argument("--jobs", type=int, default=1,
                        help="processes for the compile phase (the fleet "
                             "report is bit-identical across jobs counts)")
-    fleet.add_argument("--reference", action="store_true",
-                       help="use the sequential per-tenant reference "
-                            "loop instead of the batched engine")
     fleet.add_argument("--no-cache", action="store_true",
                        help="bypass the mapping cache")
     fleet.add_argument("--cache-dir", default=None,

@@ -81,19 +81,18 @@ class LoweredKernel:
     loop_vars: list[str]
 
 
-def lower_kernel(kernel: Kernel, flatten: bool = True,
-                 memory_ordering: bool = False) -> LoweredKernel:
+def lower_kernel(kernel: Kernel, flatten: bool = True) -> LoweredKernel:
     """Lower ``kernel`` to a dataflow graph (see module docstring).
 
-    ``memory_ordering`` adds explicit ordering edges from stores to
-    later loads of the same array (within and across iterations), which
-    serializes aliasing accesses — required for kernels like histogram
-    whose loads must observe the previous iteration's stores when
-    executed on the elastic machine model. It costs RecMII (the
-    store->load chain becomes a recurrence), which is why it is opt-in:
-    non-aliasing kernels keep their parallelism.
+    Stores to an array that the loop body also reads get explicit
+    ordering edges to the later loads of that array (within and across
+    iterations), so a pipelined schedule cannot issue the next
+    iteration's load before this iteration's store lands — the hazard
+    histogram's read-modify-write of ``hist`` exposes. Arrays that are
+    only read or only written get no ordering edge, so non-aliasing
+    kernels keep their parallelism.
     """
-    lowerer = _Lowerer(kernel, memory_ordering=memory_ordering)
+    lowerer = _Lowerer(kernel)
     if flatten:
         return lowerer.lower_flattened()
     return lowerer.lower_innermost()
@@ -112,9 +111,8 @@ class _LoopLevel:
 class _Lowerer:
     """Stateful single-use lowering pass."""
 
-    def __init__(self, kernel: Kernel, memory_ordering: bool = False):
+    def __init__(self, kernel: Kernel):
         self.kernel = kernel
-        self.memory_ordering = memory_ordering
         self.dfg = DFG(name=kernel.name)
         self.meta: dict[int, dict] = {}
         self.env: dict[str, int] = {}
@@ -346,8 +344,7 @@ class _Lowerer:
         stale = [k for k in self._load_cache if k[0] == ref.array]
         for key in stale:
             del self._load_cache[key]
-        if self.memory_ordering:
-            self._last_store[ref.array] = store
+        self._last_store[ref.array] = store
 
     # -- expressions ----------------------------------------------------------
 
@@ -391,14 +388,13 @@ class _Lowerer:
         else:
             self.dfg.add_edge(index, load, port=0)
             info["index"] = index
-        if self.memory_ordering:
-            if ref.array in self._last_store:
-                # Read-after-write within the iteration: the load waits
-                # for the store's completion token.
-                self.dfg.add_edge(self._last_store[ref.array], load,
-                                  dist=0, port=1)
-                self._load_has_order_edge.add(load)
-            self._first_load.setdefault(ref.array, load)
+        if ref.array in self._last_store:
+            # Read-after-write within the iteration: the load waits
+            # for the store's completion token.
+            self.dfg.add_edge(self._last_store[ref.array], load,
+                              dist=0, port=1)
+            self._load_has_order_edge.add(load)
+        self._first_load.setdefault(ref.array, load)
         self.meta[load] = info
         self._load_cache[key] = load
         return load
@@ -497,14 +493,13 @@ class _Lowerer:
             final = self.env[name]
             if final != phi:
                 self.dfg.add_edge(final, phi, dist=1, port=1)
-        if self.memory_ordering:
-            # Write-before-next-iteration-read: each array's last store
-            # orders the next iteration's first load, serializing
-            # aliasing accesses across iterations.
-            for array, store in self._last_store.items():
-                load = self._first_load.get(array)
-                if load is not None and load not in self._load_has_order_edge:
-                    self.dfg.add_edge(store, load, dist=1, port=1)
+        # Write-before-next-iteration-read: each array's last store
+        # orders the next iteration's first load, serializing aliasing
+        # accesses across iterations.
+        for array, store in self._last_store.items():
+            load = self._first_load.get(array)
+            if load is not None and load not in self._load_has_order_edge:
+                self.dfg.add_edge(store, load, dist=1, port=1)
 
 
 def _assigns_scalar(loop: For, name: str) -> bool:

@@ -5,7 +5,8 @@ Table I suite — graphs matching the published statistics, with no
 executable semantics. :func:`load_program` serves the *executable*
 program suite (:data:`repro.kernels.programs.ALL_PROGRAMS`) — real
 frontend ASTs whose reference interpretation, DFG interpretation and
-mapped co-simulation must all agree (the differential tests).
+generated bitstream on the machine model must all agree (the
+differential tests).
 """
 
 from __future__ import annotations

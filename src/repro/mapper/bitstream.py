@@ -302,7 +302,17 @@ def generate_bitstream(mapping: Mapping,
 def bitstream_for_lowered(mapping: Mapping, lowered: LoweredKernel,
                           externals: dict[str, float] | None = None,
                           ) -> Bitstream:
-    """Convenience: a fully annotated, machine-executable bitstream."""
+    """Convenience: a fully annotated, machine-executable bitstream.
+
+    Raises :class:`ValidationError` when ``mapping`` places a different
+    DFG than ``lowered`` carries: the annotations (memory layout, PHI
+    initial values, immediates) are keyed by ``lowered``'s node ids.
+    """
+    if _structure(mapping.dfg) != _structure(lowered.dfg):
+        raise ValidationError(
+            "mapping and lowered kernel disagree on the DFG "
+            f"({mapping.dfg.name!r} vs {lowered.dfg.name!r})"
+        )
     return generate_bitstream(
         mapping,
         immediates=immediates_from_lowered(lowered, externals),
@@ -310,6 +320,10 @@ def bitstream_for_lowered(mapping: Mapping, lowered: LoweredKernel,
         memory_layout=memory_layout_of(lowered),
         node_meta=lowered.meta,
     )
+
+
+def _structure(dfg) -> tuple:
+    return ([(n.id, n.opcode) for n in dfg.nodes()], dfg.edges())
 
 
 def _operand_selectors(dfg, mapping: Mapping, node_id: int,

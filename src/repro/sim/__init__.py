@@ -8,7 +8,6 @@ utilization / average-DVFS-level metrics of Figures 2, 9, 10 and 12.
 """
 
 from repro.sim.simulator import ExecutionStats, simulate_execution
-from repro.sim.cosim import CosimResult, cosimulate
 from repro.sim.utilization import (
     UtilizationStats,
     tile_utilization,
@@ -19,8 +18,6 @@ from repro.sim.utilization import (
 __all__ = [
     "ExecutionStats",
     "simulate_execution",
-    "CosimResult",
-    "cosimulate",
     "UtilizationStats",
     "tile_utilization",
     "utilization_stats",

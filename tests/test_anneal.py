@@ -45,10 +45,11 @@ class TestAnneal:
 
     def test_semantics_preserved_under_refinement(self):
         # The refined mapping of a real kernel must still compute the
-        # reference results (co-simulation closes the loop).
+        # reference results: its bitstream runs on the machine model.
         from repro.frontend import lower_kernel, run_kernel_ast
         from repro.kernels.programs import fir_program
-        from repro.sim.cosim import cosimulate
+        from repro.machine import run_bitstream
+        from repro.mapper.bitstream import bitstream_for_lowered
         from repro.utils.rng import make_rng
 
         kernel = fir_program(n=8, taps=3)
@@ -61,5 +62,6 @@ class TestAnneal:
         mapping = map_baseline(lowered.dfg, CGRA.build(6, 6))
         refined, _stats = anneal_mapping(mapping, moves=250, seed=5)
         expected = run_kernel_ast(kernel, memory)
-        result = cosimulate(lowered, refined, memory)
+        result = run_bitstream(bitstream_for_lowered(refined, lowered),
+                               memory, lowered.trip_count)
         assert result.memory["y"] == pytest.approx(expected["y"])

@@ -4,11 +4,15 @@ import json
 
 import pytest
 
+from repro.errors import ValidationError
+from repro.frontend import lower_kernel
 from repro.kernels import load_kernel
-from repro.mapper import map_dvfs_aware
+from repro.kernels.programs import relu_program
+from repro.mapper import map_baseline, map_dvfs_aware
 from repro.mapper.bitstream import (
     Bitstream,
     PortName,
+    bitstream_for_lowered,
     generate_bitstream,
 )
 
@@ -135,3 +139,18 @@ class TestDeterminism:
         bitstream = generate_bitstream(iced_fir)
         assert isinstance(bitstream, Bitstream)
         assert bitstream.ii == iced_fir.ii
+
+
+class TestLoweredAnnotations:
+    def test_foreign_mapping_rejected(self, fir_lowered, cgra66):
+        # A relu mapping annotated with fir's lowering would carry fir's
+        # memory layout onto relu's node ids.
+        relu = lower_kernel(relu_program(n=12), flatten=True)
+        mapping = map_baseline(relu.dfg, cgra66)
+        with pytest.raises(ValidationError, match="disagree on the DFG"):
+            bitstream_for_lowered(mapping, fir_lowered)
+
+    def test_structurally_equal_dfg_accepted(self, fir_lowered, cgra66):
+        mapping = map_baseline(fir_lowered.dfg.copy(), cgra66)
+        bitstream = bitstream_for_lowered(mapping, fir_lowered)
+        assert bitstream.memory_layout == {"x": 0, "h": 20, "y": 24}

@@ -5,12 +5,15 @@ implementations of the same semantics:
 
 1. the frontend AST reference interpreter (``run_kernel_ast``),
 2. the lowered-DFG interpreter (``run_lowered_dfg``),
-3. value-accurate co-simulation of the *mapped* kernel
-   (``sim.cosim.cosimulate``), under both a baseline and a DVFS-aware
-   (iced) mapping produced by the unified compile pipeline.
+3. the generated bitstream on the machine model
+   (``machine.run_bitstream``), for a mapping produced by the unified
+   compile pipeline under every strategy in ``KNOWN_STRATEGIES``.
 
-All three must agree on every output array, and the cosim's cycle
-count must agree with the analytic execution model
+All three must agree on every output array. The machine sees only
+configuration words and follows the pipelined schedule cycle by cycle,
+so it also catches cross-iteration memory hazards that an interpreter
+evaluating iterations in program order cannot. Its cycle count must
+stay within a few periods of the analytic execution model
 (``sim.simulator.simulate_execution``). A disagreement localizes a bug
 to whichever layer diverges — the point of differential testing.
 """
@@ -25,7 +28,9 @@ from repro.errors import DFGError
 from repro.frontend import lower_kernel, run_kernel_ast, run_lowered_dfg
 from repro.kernels.programs import ALL_PROGRAMS
 from repro.kernels.suite import executable_kernel_names, load_program
-from repro.sim.cosim import cosimulate
+from repro.machine import run_bitstream
+from repro.mapper.backends import KNOWN_STRATEGIES
+from repro.mapper.bitstream import bitstream_for_lowered
 from repro.sim.simulator import simulate_execution
 from repro.utils.rng import make_rng
 
@@ -40,8 +45,6 @@ SIZES = {
     "spmv": dict(rows=4, nnz_per_row=2),
     "dtw_band": dict(n=8),
 }
-
-STRATEGIES = ("baseline", "iced")
 
 #: One pipeline cache across the whole module: the mapping of a kernel
 #: is compiled once per strategy no matter how many tests probe it.
@@ -82,9 +85,19 @@ def _mapped(name: str, strategy: str):
                        cache=_CACHE).mapping
 
 
+@lru_cache(maxsize=None)
+def _machine(name: str, strategy: str, seed: int = 0):
+    """The mapped kernel's bitstream run on the machine model."""
+    kernel, lowered = _prepared(name)
+    bitstream = bitstream_for_lowered(_mapped(name, strategy), lowered)
+    return run_bitstream(bitstream, _memory(name, kernel, seed),
+                         lowered.trip_count)
+
+
 class TestRegistry:
     def test_executable_names_match_programs(self):
         assert executable_kernel_names() == sorted(ALL_PROGRAMS)
+        assert sorted(SIZES) == executable_kernel_names()
 
     def test_load_program_resizes(self):
         kernel = load_program("fir", n=10, taps=3)
@@ -96,35 +109,32 @@ class TestRegistry:
 
 
 class TestThreeWayAgreement:
-    """Reference interp == DFG interp == mapped cosimulation."""
+    """Reference interp == DFG interp == bitstream on the machine."""
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", KNOWN_STRATEGIES)
     @pytest.mark.parametrize("name", sorted(SIZES))
     def test_outputs_agree(self, name, strategy):
         kernel, lowered = _prepared(name)
         memory = _memory(name, kernel)
         reference = run_kernel_ast(kernel, memory)
         interp = run_lowered_dfg(lowered, memory)
-        mapping = _mapped(name, strategy)
-        cosim = cosimulate(lowered, mapping, memory)
+        machine = _machine(name, strategy)
         for array in kernel.arrays:
             assert interp.memory[array] == pytest.approx(
                 reference[array]
             ), f"DFG interp diverges from reference on {array!r}"
-            assert cosim.memory[array] == pytest.approx(
+            assert machine.memory[array] == pytest.approx(
                 reference[array]
-            ), (f"{strategy} cosim diverges from reference on "
+            ), (f"{strategy} bitstream diverges from reference on "
                 f"{array!r}")
 
     @pytest.mark.parametrize("name", sorted(SIZES))
     def test_baseline_and_iced_compute_identically(self, name):
         """DVFS awareness may change timing, never values."""
-        kernel, lowered = _prepared(name)
-        memory = _memory(name, kernel, seed=7)
+        kernel, _ = _prepared(name)
         runs = {
-            strategy: cosimulate(lowered, _mapped(name, strategy),
-                                 memory).memory
-            for strategy in STRATEGIES
+            strategy: _machine(name, strategy, seed=7).memory
+            for strategy in ("baseline", "iced")
         }
         for array in kernel.arrays:
             assert runs["iced"][array] == pytest.approx(
@@ -133,17 +143,28 @@ class TestThreeWayAgreement:
 
 
 class TestCycleModelConsistency:
-    """Cosim cycle accounting == the analytic execution model."""
+    """The analytic execution model and the machine agree on length."""
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", KNOWN_STRATEGIES)
     @pytest.mark.parametrize("name", sorted(SIZES))
     def test_total_cycles_agree(self, name, strategy):
         _, lowered = _prepared(name)
         mapping = _mapped(name, strategy)
-        kernel, _ = _prepared(name)
-        cosim = cosimulate(lowered, mapping, _memory(name, kernel))
-        stats = simulate_execution(mapping, lowered.trip_count)
+        trip = lowered.trip_count
+        stats = simulate_execution(mapping, trip)
         assert stats.ii == mapping.ii
-        assert stats.iterations == lowered.trip_count
-        assert stats.total_cycles == cosim.total_cycles
-        assert stats.total_cycles >= (lowered.trip_count - 1) * mapping.ii
+        assert stats.iterations == trip
+        assert stats.total_cycles == \
+            (trip - 1) * mapping.ii + mapping.schedule_depth()
+
+    @pytest.mark.parametrize("strategy", KNOWN_STRATEGIES)
+    @pytest.mark.parametrize("name", sorted(SIZES))
+    def test_machine_cycles_near_static_prediction(self, name, strategy):
+        _, lowered = _prepared(name)
+        mapping = _mapped(name, strategy)
+        trip = lowered.trip_count
+        static = (trip - 1) * mapping.ii + mapping.schedule_depth()
+        # Elastic execution may drain slightly past the static estimate
+        # but must stay within a couple of periods of it.
+        cycles = _machine(name, strategy).cycles
+        assert (trip - 1) * mapping.ii <= cycles <= static + 3 * mapping.ii

@@ -5,24 +5,30 @@ match against the AST interpreter validates the entire lowering chain:
 frontend -> mapper -> bitstream generator -> machine.
 """
 
+import copy
+
 import pytest
 
 from repro.arch import CGRA
-from repro.errors import SimulationError
-from repro.frontend import lower_kernel, run_kernel_ast
+from repro.dfg.ops import Opcode
+from repro.errors import SimulationError, ValidationError
+from repro.frontend import lower_kernel, run_kernel_ast, run_lowered_dfg
 from repro.kernels.programs import (
     conv1d_program,
     dtw_band_program,
     fir_program,
+    histogram_program,
     relu_program,
 )
+from repro.kernels.suite import executable_kernel_names, load_program
 from repro.machine import run_bitstream
 from repro.mapper import map_baseline, map_dvfs_aware
 from repro.mapper.bitstream import bitstream_for_lowered
+from repro.mapper.mapping import Placement
 from repro.utils.rng import make_rng
 
-#: Machine-executable programs: no cross-iteration memory aliasing (the
-#: DFG IR carries no memory-ordering edges; see docs/mapping_model.md).
+#: Small programs for the machine's own counters and failure modes; the
+#: full program x strategy value matrix lives in tests/test_differential.
 PROGRAMS = {
     "fir": lambda: fir_program(n=10, taps=3),
     "relu": lambda: relu_program(n=12),
@@ -128,11 +134,10 @@ class TestMachineExecution:
 
 
 class TestMemoryOrdering:
-    """Aliasing kernels need explicit memory-ordering edges to run on
-    the elastic machine; the lowering option provides them."""
+    """The lowering always orders a store before later loads of the same
+    array; only aliasing kernels (histogram) get such an edge."""
 
     def _setup(self):
-        from repro.kernels.programs import histogram_program
         kernel = histogram_program(n=24, bins=4)
         rng = make_rng(11)
         memory = {
@@ -141,34 +146,62 @@ class TestMemoryOrdering:
         }
         return kernel, memory
 
+    @staticmethod
+    def _store_to_load(dfg):
+        return [
+            e for e in dfg.edges()
+            if dfg.node(e.src).opcode is Opcode.STORE
+            and dfg.node(e.dst).opcode is Opcode.LOAD
+        ]
+
     def test_ordered_lowering_adds_edges(self):
         kernel, _memory = self._setup()
-        plain = lower_kernel(kernel, flatten=True)
-        ordered = lower_kernel(kernel, flatten=True, memory_ordering=True)
-        assert ordered.dfg.num_edges > plain.dfg.num_edges
+        lowered = lower_kernel(kernel, flatten=True)
+        edges = self._store_to_load(lowered.dfg)
+        # The last store of hist orders the next iteration's load.
+        assert [e.dist for e in edges] == [1]
+        assert lowered.meta[edges[0].src]["array"] == "hist"
+        assert lowered.meta[edges[0].dst]["array"] == "hist"
 
     def test_interpreter_unaffected_by_ordering_edges(self):
         kernel, memory = self._setup()
         expected = run_kernel_ast(kernel, memory)
-        ordered = lower_kernel(kernel, flatten=True, memory_ordering=True)
-        from repro.frontend import run_lowered_dfg
-        out = run_lowered_dfg(ordered, memory)
+        lowered = lower_kernel(kernel, flatten=True)
+        out = run_lowered_dfg(lowered, memory)
         assert out.memory["hist"] == expected["hist"]
 
     def test_histogram_on_machine(self):
         kernel, memory = self._setup()
         expected = run_kernel_ast(kernel, memory)
-        ordered = lower_kernel(kernel, flatten=True, memory_ordering=True)
-        mapping = map_baseline(ordered.dfg, CGRA.build(6, 6))
-        bitstream = bitstream_for_lowered(mapping, ordered)
-        result = run_bitstream(bitstream, memory, ordered.trip_count)
+        lowered = lower_kernel(kernel, flatten=True)
+        mapping = map_baseline(lowered.dfg, CGRA.build(6, 6))
+        bitstream = bitstream_for_lowered(mapping, lowered)
+        result = run_bitstream(bitstream, memory, lowered.trip_count)
         assert result.memory["hist"] == expected["hist"]
 
     def test_non_aliasing_kernel_unchanged(self):
-        kernel = PROGRAMS["fir"]()
-        plain = lower_kernel(kernel, flatten=True)
-        ordered = lower_kernel(kernel, flatten=True, memory_ordering=True)
-        # fir reads x/h and writes y: no read of a written array, so at
-        # most the cross-iteration y edge appears; RecMII must not blow up.
-        from repro.dfg import rec_mii
-        assert rec_mii(ordered.dfg) <= rec_mii(plain.dfg) + 1
+        # No other program both reads and writes one array, so none
+        # gets an ordering edge: they keep their parallelism.
+        for name in executable_kernel_names():
+            if name == "histogram":
+                continue
+            lowered = lower_kernel(load_program(name), flatten=True)
+            assert self._store_to_load(lowered.dfg) == [], name
+
+
+class TestCorruptedSchedule:
+    def test_consumer_before_operands_rejected(self):
+        # Pull the latest-issued consumer to time 0, before its
+        # operands: the bitstream generator's timing check must refuse.
+        _, _memory, lowered = prepared("fir")
+        mapping = map_baseline(lowered.dfg, CGRA.build(6, 6))
+        broken = copy.copy(mapping)
+        broken.placements = dict(mapping.placements)
+        victim = max(
+            (n for n in broken.placements if lowered.dfg.in_edges(n)),
+            key=lambda n: broken.placements[n].time,
+        )
+        old = broken.placements[victim]
+        broken.placements[victim] = Placement(victim, old.tile, 0)
+        with pytest.raises(ValidationError):
+            bitstream_for_lowered(broken, lowered)

@@ -2,8 +2,9 @@
 
 These target the invariants everything else leans on: transactional
 resource accounting, the difference-constraint scheduler, graph
-transforms, the synthesizer's exactness, and frontend semantic
-equivalence across randomized kernel parameters.
+transforms, the synthesizer's exactness, frontend semantic
+equivalence across randomized kernel parameters, and value-level
+execution of mapped kernels' bitstreams on the machine model.
 """
 
 import math
@@ -12,16 +13,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import CGRA
+from repro.compile import MappingCache, compile_dfg
 from repro.dfg import DFG, Opcode, rec_mii, unroll
 from repro.dfg.analysis import recurrence_cycles, topo_order
 from repro.errors import DFGError, MappingError
 from repro.frontend import lower_kernel, run_kernel_ast, run_lowered_dfg
-from repro.kernels.programs import fir_program
+from repro.kernels.programs import (
+    fir_program,
+    histogram_program,
+    spmv_program,
+)
 from repro.kernels.synthesis import synthesize_dfg
+from repro.machine import run_bitstream
+from repro.mapper.bitstream import bitstream_for_lowered
 from repro.mapper.schedule import modulo_schedule_times
 from repro.mrrg.resources import ModuloResourcePool, fu_key, reg_key
+from tests.test_differential import _memory
 
 CGRA44 = CGRA.build(4, 4)
+
+
+def _examples(n: int) -> int:
+    """``n`` examples under the default profile, scaled with the loaded
+    profile's ``max_examples`` (the ``deep`` profile runs 10x)."""
+    return n * settings.default.max_examples // 100
 
 
 # -- resource pool -----------------------------------------------------------
@@ -271,3 +286,39 @@ class TestFrontendProperties:
         lowered = lower_kernel(kernel, flatten=True)
         actual = run_lowered_dfg(lowered, mem)
         assert actual.memory["y"] == pytest.approx(expected["y"])
+
+
+# -- machine execution ------------------------------------------------------------
+
+#: Randomly sized instances of the programs that exercise the machine's
+#: hard cases: a nested reduction (fir), a read-modify-write through
+#: memory (histogram) and an indirect load feeding a load (spmv).
+machine_programs = st.one_of(
+    st.builds(fir_program, n=st.integers(2, 10), taps=st.integers(1, 4)),
+    st.builds(histogram_program, n=st.integers(1, 16),
+              bins=st.integers(1, 6)),
+    st.builds(spmv_program, rows=st.integers(1, 5),
+              nnz_per_row=st.integers(1, 3)),
+)
+
+_MACHINE_CACHE = MappingCache()
+CGRA66 = CGRA.build(6, 6)
+
+
+class TestMachineProperties:
+    @given(
+        kernel=machine_programs,
+        seed=st.integers(min_value=0, max_value=999),
+        strategy=st.sampled_from(["baseline", "iced"]),
+    )
+    @settings(max_examples=_examples(12), deadline=None)
+    def test_bitstream_matches_ast(self, kernel, seed, strategy):
+        memory = _memory(kernel.name, kernel, seed)
+        expected = run_kernel_ast(kernel, memory)
+        lowered = lower_kernel(kernel, flatten=True)
+        mapping = compile_dfg(lowered.dfg, CGRA66, strategy,
+                              cache=_MACHINE_CACHE).mapping
+        result = run_bitstream(bitstream_for_lowered(mapping, lowered),
+                               memory, lowered.trip_count)
+        for array in kernel.arrays:
+            assert result.memory[array] == pytest.approx(expected[array])
